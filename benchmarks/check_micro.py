@@ -10,6 +10,8 @@ Run after ``pytest benchmarks/test_micro.py`` has written
 - a workload regresses more than 20% against the speedup recorded in
   ``benchmarks/baseline.json`` (ratios, so the check is
   machine-independent),
+- a generated-stage cell (fused conjunction filter, Top-N) falls under
+  its compiled-vs-interpreter floor in ``baseline.json``,
 - the incremental fast path covers fewer workloads than the baseline
   records, or gsn-plan's static coverage over the shipped examples
   fleet drops below the recorded percentage,
@@ -140,6 +142,15 @@ def check(metrics: dict, baseline: dict) -> List[str]:
             failures.append(
                 f"{name} regressed: {doc['speedup']:.1f}x < "
                 f"{required:.1f}x (80% of the recorded {recorded}x)")
+
+    for name, floor in sorted(baseline.get("compiled_floors", {}).items()):
+        speedup = metrics.get(name, {}).get("compiled_speedup")
+        if speedup is None:
+            failures.append(f"{name}: compiled cell missing from "
+                            "BENCH_micro.json")
+        elif speedup < floor:
+            failures.append(f"{name} below its {floor}x compiled floor "
+                            f"({speedup:.1f}x over the interpreter)")
 
     recorded_pct = baseline["fast_path_static_coverage"]["examples_percent"]
     coverage = metrics.get("fast_path_static_coverage", {})

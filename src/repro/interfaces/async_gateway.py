@@ -56,7 +56,7 @@ import json
 import logging
 import queue
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis import loopwitness
 from repro.concurrency import new_lock
@@ -102,6 +102,7 @@ class AsyncIngestGateway:
         self._shutdown: Optional[asyncio.Event] = None  # owned-by: loop
         self._bound: Optional[Tuple[str, int]] = None  # owned-by: loop
         self._batchers: Dict[BatchKey, List[Dict[str, Any]]] = {}  # owned-by: loop
+        self._clients: Set[Any] = set()  # owned-by: loop
         self.tuples_accepted = 0  # owned-by: loop
         self.batches_flushed = 0  # owned-by: loop
         self.shed_tuples = 0  # owned-by: loop
@@ -219,6 +220,12 @@ class AsyncIngestGateway:
             if heartbeat is not None:
                 heartbeat.cancel()
             server.close()
+            # An idle keep-alive client parks its handler in a read;
+            # left pending, the task would be destroyed with the loop.
+            clients = list(self._clients)
+            for client in clients:
+                client.cancel()
+            await asyncio.gather(*clients, return_exceptions=True)
             await server.wait_closed()
 
     def _request_shutdown(self) -> None:
@@ -229,6 +236,8 @@ class AsyncIngestGateway:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._clients.add(task)
         try:
             while True:
                 request = await self._read_request(reader)
@@ -243,6 +252,7 @@ class AsyncIngestGateway:
         except (ConnectionError, asyncio.IncompleteReadError) as exc:
             logger.debug("ingest client dropped: %s", exc)
         finally:
+            self._clients.discard(task)
             writer.close()
 
     async def _read_request(

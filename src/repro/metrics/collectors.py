@@ -16,8 +16,17 @@ from typing import Dict, List, Optional
 from repro.concurrency import new_lock
 
 
+#: Samples a recorder keeps for its percentiles (the most recent ones).
+SAMPLE_LIMIT = 4096
+
+
 class LatencyRecorder:
     """Collects durations in milliseconds and reports summary statistics.
+
+    ``count`` / mean / min / max are exact over every recorded duration;
+    percentiles read a bounded ring of the last :data:`SAMPLE_LIMIT`
+    samples, so a long-lived recorder's memory and ``summary()`` cost
+    stay constant.
 
     Thread-safe: the in-flight start timestamp is thread-local (pipeline
     pools time concurrent runs independently) and aggregation is locked.
@@ -47,28 +56,29 @@ class LatencyRecorder:
 
     def record(self, elapsed_ms: float) -> None:
         with self._lock:
+            if self.keep_samples:
+                if len(self.samples) < SAMPLE_LIMIT:
+                    self.samples.append(elapsed_ms)
+                else:  # overwrite the oldest
+                    self.samples[self.count % SAMPLE_LIMIT] = elapsed_ms
             self.count += 1
             self.total_ms += elapsed_ms
             if elapsed_ms > self.max_ms:
                 self.max_ms = elapsed_ms
             if elapsed_ms < self.min_ms:
                 self.min_ms = elapsed_ms
-            if self.keep_samples:
-                self.samples.append(elapsed_ms)
 
     @property
     def mean_ms(self) -> float:
         return self.total_ms / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100) of recorded samples."""
-        if not self.samples:
-            return 0.0
+        """The ``q``-th percentile (0-100) of the retained samples."""
         if not 0 <= q <= 100:
             raise ValueError("percentile must be within [0, 100]")
-        ordered = sorted(self.samples)
-        index = min(int(len(ordered) * q / 100.0), len(ordered) - 1)
-        return ordered[index]
+        with self._lock:
+            ordered = sorted(self.samples)
+        return _percentile(ordered, q)
 
     def reset(self) -> None:
         with self._lock:
@@ -79,14 +89,24 @@ class LatencyRecorder:
             self.min_ms = math.inf
 
     def summary(self) -> Dict[str, float]:
+        with self._lock:
+            count, total_ms = self.count, self.total_ms
+            min_ms, max_ms = self.min_ms, self.max_ms
+            ordered = sorted(self.samples)
         return {
-            "count": self.count,
-            "mean_ms": round(self.mean_ms, 4),
-            "min_ms": 0.0 if self.count == 0 else round(self.min_ms, 4),
-            "max_ms": round(self.max_ms, 4),
-            "p50_ms": round(self.percentile(50), 4),
-            "p95_ms": round(self.percentile(95), 4),
+            "count": count,
+            "mean_ms": round(total_ms / count if count else 0.0, 4),
+            "min_ms": 0.0 if count == 0 else round(min_ms, 4),
+            "max_ms": round(max_ms, 4),
+            "p50_ms": round(_percentile(ordered, 50), 4),
+            "p95_ms": round(_percentile(ordered, 95), 4),
         }
+
+
+def _percentile(ordered: List[float], q: float) -> float:
+    if not ordered:
+        return 0.0
+    return ordered[min(int(len(ordered) * q / 100.0), len(ordered) - 1)]
 
 
 class FastPathCounters:

@@ -9,9 +9,10 @@ re-evaluate.
 
 from __future__ import annotations
 
+import logging
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.exceptions import ValidationError
+from repro.exceptions import GSNError, ValidationError
 from repro.gsntime.clock import Clock
 from repro.gsntime.duration import parse_duration
 from repro.notifications.manager import NotificationManager
@@ -21,6 +22,8 @@ from repro.sqlengine.executor import Catalog
 from repro.sqlengine.relation import Relation
 from repro.sqlengine.rewriter import referenced_tables
 from repro.status import UptimeTracker, status_doc
+
+logger = logging.getLogger(__name__)
 
 
 def _windowed_catalog(base: Catalog, tables: FrozenSet[str], now: int,
@@ -56,6 +59,7 @@ class QueryRepository:
         self._by_table: Dict[str, List[int]] = {}
         self._uptime = UptimeTracker()
         self.evaluations = 0
+        self.failures = 0
 
     # -- registration --------------------------------------------------------
 
@@ -131,7 +135,10 @@ class QueryRepository:
         """Re-evaluate every subscription reading ``table_name``.
 
         Returns the number of notifications dispatched. ``catalog``
-        optionally pins one snapshot for all affected subscriptions.
+        optionally pins one snapshot for all affected subscriptions. A
+        subscription whose query fails is counted (and logged once) and
+        skipped: one poisoned client must not silence the others, nor
+        the producing sensor's later listeners.
         """
         affected = self.affected_by(table_name)
         if not affected:
@@ -147,7 +154,15 @@ class QueryRepository:
                 target = _windowed_catalog(base, subscription.tables,
                                            self.clock.now(),
                                            subscription.history_ms)
-            result = self.processor.execute(subscription.sql, target)
+            try:
+                result = self.processor.execute(subscription.sql, target)
+            except GSNError as exc:
+                if not subscription.failures:
+                    logger.warning("subscription %s (%s) failed: %s",
+                                   subscription.name, subscription.sql, exc)
+                subscription.failures += 1
+                self.failures += 1
+                continue
             subscription.last_result = result
             subscription.notifications_sent += 1
             self.notifications.deliver(subscription, result)
@@ -159,7 +174,8 @@ class QueryRepository:
         return status_doc(
             "query-repository", "running",
             counters={"registered": len(self._subscriptions),
-                      "evaluations": self.evaluations},
+                      "evaluations": self.evaluations,
+                      "failures": self.failures},
             uptime_ms=self._uptime.uptime_ms(),
             registered=len(self._subscriptions),
             by_table={table: len(ids)

@@ -38,6 +38,8 @@ class Subscription:
     history_ms: Optional[int] = None
     id: int = field(default_factory=lambda: next(_ids))
     notifications_sent: int = 0
+    #: Evaluations that raised; the repository skips and counts them.
+    failures: int = field(default=0, init=False)
     last_result: Optional[Relation] = None
     created_at: Optional[int] = None
 
@@ -61,4 +63,5 @@ class Subscription:
             "history_ms": self.history_ms,
             "active": self.active,
             "notifications_sent": self.notifications_sent,
+            "failures": self.failures,
         }

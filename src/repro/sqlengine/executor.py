@@ -144,11 +144,7 @@ _TYPE_RANK = {bool: 0, int: 0, float: 0, str: 1, bytes: 2, bytearray: 2}
 
 
 def _truthy(value: Any) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, (bool, int, float)):
-        return bool(value)
-    return bool(value)
+    return bool(value)  # NULL is not true
 
 
 def _sort_key(value: Any) -> Tuple[int, int, Any]:

@@ -13,12 +13,15 @@ of pull-based physical operators:
 
     SeqScan / DerivedScan / Filter / NestedLoopJoin / HashJoin /
     Project / HashAggregate (GROUP BY) / Distinct / SetOp / Sort /
-    Limit
+    TopN / Limit
 
-with every expression compiled to a *positional* closure over flat row
-tuples: column references become tuple indexes resolved at compile time,
-so per-trigger execution does zero name resolution, zero environment
-allocation, and zero plan-tree dispatch.
+with every expression *source-generated*: each stage is one Python
+function, written and ``compile()``d once, over flat row tuples whose
+column references are tuple indexes resolved at compile time — so
+per-trigger execution does zero name resolution, zero environment
+allocation, zero plan-tree dispatch and no call per expression node.
+The WHERE conjunction is one fused loop, the projection one
+comprehension, and ``ORDER BY ... LIMIT`` a bounded Top-N selection.
 
 Compilation is total-or-nothing: :func:`try_compile` returns ``None``
 for any shape whose exact legacy semantics the pipeline does not
@@ -30,13 +33,15 @@ behaviour, it only removes interpretation overhead. The differential
 property tests assert ``compiled == interpreted`` row for row.
 
 Reentrancy: a compiled pipeline holds no per-execution state — stage
-closures pass rows through locals — so one pipeline may execute
+functions pass rows through locals — so one pipeline may execute
 concurrently from threaded sensor pools. The per-operator ``last_rows``
 counters exist only for EXPLAIN ANALYZE and are benignly racy.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -146,357 +151,429 @@ class _Layout:
 
 
 # --------------------------------------------------------------------------
-# Positional expression compilation (row context)
+# Source generation
 # --------------------------------------------------------------------------
+
+
+def _signed(op: str, value: Any) -> Any:
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SQLExecutionError(f"unary {op} needs a number")
+    return -value if op == "-" else value
+
+
+def _scalar(name: str, func: Callable[..., Any], *args: Any) -> Any:
+    try:
+        return func(*args)
+    except SQLExecutionError:
+        raise
+    except Exception as exc:
+        raise SQLExecutionError(f"{name}() failed: {exc}") from exc
+
+
+def _between(lower_ok: Any, upper_ok: Any, negated: bool) -> Any:
+    if lower_ok is False or upper_ok is False:
+        result = False
+    elif lower_ok is None or upper_ok is None:
+        return None
+    else:
+        result = True
+    return not result if negated else result
+
+
+def _like(cache: Dict[str, "re.Pattern[str]"], value: Any, text: Any,
+          negated: bool) -> Any:
+    if value is None or text is None:
+        return None
+    regex = cache.get(text)
+    if regex is None:
+        regex = cache[text] = _like_to_regex(str(text))
+    result = bool(regex.match(str(value)))
+    return not result if negated else result
+
+
+def _fail(message: str) -> None:
+    raise SQLExecutionError(message)
+
+
+def _desc_key(value: Any) -> Tuple[int, int, Any]:
+    """``_Reversed(_sort_key(value))`` as a plain tuple: flag and type
+    rank negated, numbers negated (a NaN kept as the object it is, so
+    tuple comparison's identity shortcut still sees it), the rest
+    wrapped — every pair compares exactly as the wrapped keys do."""
+    flag, rank, value = _sort_key(value)
+    if rank:
+        return -flag, -rank, _Reversed(value)
+    return -flag, 0, -value if value == value else value
+
+
+#: Everything generated source may call; constants join it by name.
+_HELPERS: Dict[str, Any] = {
+    "_compare": _compare, "_arith": _arith, "_cast": _cast,
+    "_hashable": _hashable, "_sort_key": _sort_key, "_desc_key": _desc_key,
+    "_signed": _signed, "_scalar": _scalar, "_between": _between,
+    "_like": _like, "_fail": _fail, "_ONCE": (None,),
+    "_call_scalar": call_scalar, "_call_aggregate": call_aggregate,
+}
+
+#: SQL comparison -> the Python operator inlined for exact int/float.
+_COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=",
+                ">": ">", ">=": ">="}
+#: SQL arithmetic inlined for exact int/float, written as ``_arith``
+#: computes it (MOD: sign of the dividend, NULL on a zero divisor).
+_ARITHMETIC = {
+    "+": "{a} + {b}", "-": "{a} - {b}", "*": "{a} * {b}",
+    "%": "None if {b} == 0 else {a} - int({a} / {b}) * {b}",
+}
+_ROW_PREDICATES = (InExpr, BetweenExpr, LikeExpr, IsNullExpr)
+
+
+def _exec_source(source: str, env: Dict[str, Any], name: str) -> Any:
+    """Compile generated ``source`` in ``env`` and return its ``name``
+    — the module's only ``exec``. Nesting past what CPython's compiler
+    takes leaves the query to the interpreter."""
+    try:
+        code = compile(source, f"<gsn-pipeline {name}>", "exec")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise Unsupported(f"generated {name} stage: {exc}") from exc
+    exec(code, env)
+    function = env[name]
+    function.source = source
+    return function
+
+
+class _Emitter:
+    """Writes the Python source of one pipeline-stage function.
+
+    ``expr`` appends the statements that evaluate a node at the current
+    indentation and returns an *atom* for its value: a temporary, a
+    literal, a bound constant or a column read. Semantics mirror
+    ``_Executor.eval`` / ``eval_group`` — same three-valued logic, same
+    short-circuiting, same error classes and messages. Comparisons and
+    ``+ - * %`` run inline when both operands are exactly ``int`` or
+    ``float``; every other class (``bool`` and subclasses included)
+    goes to ``_compare`` / ``_arith``, as does an inline operation that
+    raises, so the helper re-raises what it always raised. A truth test
+    is written as Python's own: ``_truthy(v)`` is ``bool(v)``.
+
+    Nothing from the query is spliced as text: the source holds only
+    the emitter's identifiers, tuple positions, operator tokens from
+    the tables above and ``repr()`` of machine-sized finite numbers;
+    every other constant is bound into the namespace by name.
+    """
+
+    def __init__(self, layout: _Layout,
+                 like_cache: Dict[str, "re.Pattern[str]"],
+                 depth: int = 1) -> None:
+        self.layout = layout
+        self.env = dict(_HELPERS, _like_cache=like_cache)
+        self.lines: List[str] = []
+        self.depth = depth
+        self.numeric: set = set()  # literal atoms known int/float
+        self._names = 0
+
+    def line(self, text: str) -> None:
+        self.lines.append(" " * self.depth + text)
+
+    def _name(self, prefix: str) -> str:
+        self._names += 1
+        return f"{prefix}{self._names}"
+
+    def bind(self, value: Any) -> str:
+        name = self._name("_k")
+        self.env[name] = value
+        return name
+
+    def assign(self, code: str) -> str:
+        name = self._name("t")
+        self.line(f"{name} = {code}")
+        return name
+
+    def hold(self, atom: str, literal: bool = False) -> str:
+        """``atom`` as a name, cheap to mention twice and fit for an
+        ``is None`` test (or, on request, still a numeric literal)."""
+        if atom.isidentifier() or (literal and atom in self.numeric):
+            return atom
+        return self.assign(atom)
+
+    def literal(self, value: Any) -> str:
+        if value is None:
+            return "None"
+        if (type(value) is int and abs(value) < 1 << 63) or (
+                type(value) is float and math.isfinite(value)):
+            atom = repr(value)
+            if atom[0] == "-":
+                atom = f"({atom})"
+            self.numeric.add(atom)
+            return atom
+        return self.bind(value)
+
+    def fail(self, message: str, unless: str = "") -> None:
+        """Raise ``message`` at this point (unless the test holds)."""
+        self.line((f"if not {unless}: " if unless else "")
+                  + f"_fail({self.bind(message)})")
+
+    def item(self, item: Any) -> str:
+        """A projection item: a source position or an expression."""
+        return f"r[{item}]" if isinstance(item, int) else self.expr(item)
+
+    # -- expressions --------------------------------------------------------
+
+    def expr(self, node: Node, group: bool = False) -> str:
+        """Emit ``node`` over row ``r`` (or, with ``group``, over the
+        list of rows ``g``: aggregates fold their argument, columns and
+        row predicates read the first row, binary operators evaluate
+        both sides before deciding)."""
+        if isinstance(node, Literal):
+            return self.literal(node.value)
+        if isinstance(node, ColumnRef):
+            position = self.layout.position(node.name, node.table)
+            return (f"(g[0][{position}] if g else None)" if group
+                    else f"r[{position}]")
+        if isinstance(node, FunctionCall):
+            if node.name in AGGREGATE_FUNCTIONS:
+                return self._aggregate(node, group)
+            args = ", ".join([self.expr(arg, group) for arg in node.args])
+            name = self.bind(node.name)
+            func = None if group else SCALAR_FUNCTIONS.get(node.name)
+            if func is None:  # eval_group's form, and its message
+                return self.assign(f"_call_scalar({name}, [{args}])")
+            return self.assign(f"_scalar({name}, {self.bind(func)}, {args})")
+        if group and isinstance(node, _ROW_PREDICATES):
+            self.fail("cannot evaluate row predicate over an empty group",
+                      unless="g")
+            self.line("r = g[0]")
+            group = False
+        if isinstance(node, UnaryOp):
+            value = self.hold(self.expr(node.operand, group))
+            if node.op == "not":
+                return self.assign(
+                    f"None if {value} is None else not {value}")
+            if not group:
+                return self.assign(
+                    f"_signed({self.bind(node.op)}, {value})")
+            if node.op != "-":
+                return value
+            return self.assign(f"None if {value} is None else -{value}")
+        if isinstance(node, BinaryOp):
+            if node.op in ("and", "or"):
+                return self._logical(node, group)
+            left = self.hold(self.expr(node.left, group), literal=True)
+            right = self.hold(self.expr(node.right, group), literal=True)
+            return self._binary(node.op, left, right)
+        if isinstance(node, InExpr):
+            return self._in_list(node)
+        if isinstance(node, BetweenExpr):
+            # The lower comparison runs (and may raise) before the
+            # upper bound is evaluated.
+            value = self.hold(self.expr(node.operand), literal=True)
+            lower = self._binary(
+                ">=", value, self.hold(self.expr(node.low), literal=True))
+            upper = self._binary(
+                "<=", value, self.hold(self.expr(node.high), literal=True))
+            return self.assign(
+                f"_between({lower}, {upper}, {bool(node.negated)})")
+        if isinstance(node, LikeExpr):
+            args = ", ".join([self.expr(node.operand),
+                              self.expr(node.pattern)])
+            return self.assign(
+                f"_like(_like_cache, {args}, {bool(node.negated)})")
+        if isinstance(node, IsNullExpr):
+            test = "is not None" if node.negated else "is None"
+            return self.assign(f"{self.hold(self.expr(node.operand))} {test}")
+        if isinstance(node, CastExpr):
+            return self.assign(f"_cast({self.expr(node.operand, group)}, "
+                               f"{self.bind(node.target)})")
+        if isinstance(node, CaseExpr):
+            return self._case(node, group)
+        raise Unsupported(f"cannot compile {type(node).__name__}"
+                          + (" in GROUP BY context" if group else ""))
+
+    def _binary(self, op: str, left: str, right: str) -> str:
+        """A comparison or arithmetic over two held atoms."""
+        inline = _COMPARISONS.get(op) or _ARITHMETIC.get(op)
+        helper = "_compare" if op in _COMPARISONS else "_arith"
+        call = f"{helper}({repr(op) if inline else self.bind(op)}, " \
+               f"{left}, {right})"
+        if inline is None:
+            return self.assign(call)
+        guard = " and ".join(
+            f"(type({atom}) is int or type({atom}) is float)"
+            for atom in (left, right) if atom not in self.numeric)
+        if op in _COMPARISONS:
+            fast = f"{left} {inline} {right}"
+            return self.assign(f"{fast} if {guard} else {call}"
+                               if guard else fast)
+        fast = inline.format(a=left, b=right)
+        result = self._name("t")
+        self.line("try:")
+        self.line(f" {result} = ({fast}) if {guard or True} else {call}")
+        self.line("except (OverflowError, ValueError):")
+        self.line(f" {result} = {call}")
+        return result
+
+    def _logical(self, node: BinaryOp, group: bool) -> str:
+        """Three-valued AND / OR; a side *decides* when it is false
+        (AND) or true (OR). Row context stops at a deciding left side;
+        group context evaluates both sides first, as eval_group does."""
+        decides = ("{0} is not None and not {0}" if node.op == "and"
+                   else "{0}").format
+        decided = node.op == "or"
+        result = self._name("t")
+        left = self.hold(self.expr(node.left, group))
+        depth = self.depth
+        if group:
+            right = self.hold(self.expr(node.right, group))
+            self.line(f"if ({decides(left)}) or ({decides(right)}): "
+                      f"{result} = {decided}")
+        else:
+            self.line(f"if {decides(left)}: {result} = {decided}")
+            self.line("else:")
+            self.depth += 1
+            right = self.hold(self.expr(node.right))
+            self.line(f"if {decides(right)}: {result} = {decided}")
+        self.line(f"elif {left} is None or {right} is None: "
+                  f"{result} = None")
+        self.line(f"else: {result} = {not decided}")
+        self.depth = depth
+        return result
+
+    def _in_list(self, node: InExpr) -> str:
+        """``x IN (...)``: options are evaluated one at a time, up to
+        the first match (a one-pass loop keeps the chain flat)."""
+        if node.subquery is not None:
+            raise Unsupported("IN (subquery)")
+        value = self.hold(self.expr(node.operand))
+        result, null = self.assign("None"), self._name("t")
+        depth = self.depth
+        self.line(f"if {value} is not None:")
+        self.depth += 1
+        self.line(f"{null} = False")
+        self.line("for _ in _ONCE:")
+        self.depth += 1
+        for option in node.options or ():
+            option = self.hold(self.expr(option), literal=True)
+            branch = "if"
+            if option not in self.numeric:
+                self.line(f"if {option} is None: {null} = True")
+                branch = "elif"
+            self.line(f"{branch} _compare('=', {value}, {option}): "
+                      f"{result} = {not node.negated}; break")
+        self.line(f"{result} = None if {null} else {bool(node.negated)}")
+        self.depth = depth
+        return result
+
+    def _case(self, node: CaseExpr, group: bool) -> str:
+        result = self._name("t")
+        depth = self.depth
+        subject = (None if node.operand is None
+                   else self.hold(self.expr(node.operand, group)))
+        for condition, value in node.branches:
+            test = self.expr(condition, group)
+            if subject is not None:
+                test = f"_compare('=', {subject}, {test})"
+            self.line(f"if {test}:")
+            self.depth += 1
+            self.line(f"{result} = {self.expr(value, group)}")
+            self.depth -= 1
+            self.line("else:")
+            self.depth += 1
+        default = ("None" if node.default is None
+                   else self.expr(node.default, group))
+        self.line(f"{result} = {default}")
+        self.depth = depth
+        return result
+
+    def _aggregate(self, node: FunctionCall, group: bool) -> str:
+        if not group:
+            raise Unsupported(f"aggregate {node.name}() in row context")
+        name = self.bind(node.name)
+        if node.star:
+            return self.assign(f"_call_aggregate({name}, [], star=True, "
+                               "row_count=len(g))")
+        if len(node.args) != 1:
+            raise Unsupported(f"aggregate {node.name}() arity")
+        values = self.collect(lambda: self.expr(node.args[0]), "g")
+        return self.assign(f"_call_aggregate({name}, {values}, "
+                           f"distinct={bool(node.distinct)})")
+
+    # -- stage bodies -------------------------------------------------------
+
+    def collect(self, value: Callable[[], str], rows: str) -> str:
+        """Code for the list of ``value()`` over every ``r`` in
+        ``rows``: a comprehension when the value needs no statements,
+        else an explicit loop around them."""
+        start = len(self.lines)
+        self.depth += 1
+        atom = value()
+        self.depth -= 1
+        if len(self.lines) == start:
+            return f"[{atom} for r in {rows}]"
+        out = self._name("t")
+        pad = " " * self.depth
+        self.lines[start:start] = [f"{pad}{out} = []",
+                                   f"{pad}for r in {rows}:"]
+        self.line(f" {out}.append({atom})")
+        return out
+
+    def row_tuple(self, items: Sequence[Any], wrap: str = "{}") -> str:
+        """A tuple display of ``items``, each atom put through ``wrap``."""
+        return "(" + "".join([wrap.format(self.item(item)) + ", "
+                              for item in items]) + ")"
+
+    def order_key(self, value: str, ascending: bool) -> str:
+        """The comparable key of one ORDER BY value: ``_sort_key``'s
+        tuple, or ``_desc_key``'s for DESC. A NaN key raises ``nan``."""
+        value, kind, key = self.hold(value), self._name("t"), self._name("t")
+        flag, sign, helper = ((1, "", "_sort_key") if ascending
+                              else (-1, "-", "_desc_key"))
+        self.line(f"{kind} = type({value})")
+        self.line(f"if {kind} is int or {kind} is float and "
+                  f"{value} == {value}: {key} = ({flag}, 0, {sign}{value})")
+        self.line("else:")
+        self.line(f" {key} = {helper}({value})")
+        self.line(f" if {key}[2] != {key}[2]: nan = True")
+        return key
+
+    def build(self, name: str, params: str, result: str,
+              head: Sequence[str] = ()) -> Any:
+        return _exec_source("\n".join(
+            [f"def {name}({params}):", *head, *self.lines,
+             f" return {result}", ""]), self.env, name)
 
 
 def _compile_row(node: Node, layout: _Layout,
                  like_cache: Dict[str, "re.Pattern[str]"]) -> RowFn:
-    """Compile an expression into a closure over one flat row tuple.
-
-    Semantics mirror ``_Executor.eval`` / the ``(executor, env)``
-    compiler exactly — same three-valued logic, same short-circuiting,
-    same error types — with column references pre-resolved to indexes.
-    """
-    if isinstance(node, Literal):
-        value = node.value
-        return lambda row: value
-
-    if isinstance(node, ColumnRef):
-        position = layout.position(node.name, node.table)
-        return lambda row: row[position]
-
-    if isinstance(node, UnaryOp):
-        operand = _compile_row(node.operand, layout, like_cache)
-        if node.op == "not":
-            def negate(row):
-                value = operand(row)
-                if value is None:
-                    return None
-                return not _truthy(value)
-            return negate
-        op = node.op
-
-        def signed(row):
-            value = operand(row)
-            if value is None:
-                return None
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                raise SQLExecutionError(f"unary {op} needs a number")
-            return -value if op == "-" else value
-        return signed
-
-    if isinstance(node, BinaryOp):
-        return _compile_row_binary(node, layout, like_cache)
-
-    if isinstance(node, FunctionCall):
-        if node.name in AGGREGATE_FUNCTIONS:
-            raise Unsupported(
-                f"aggregate {node.name}() in row context"
-            )
-        args = [_compile_row(arg, layout, like_cache)
-                for arg in node.args]
-        name = node.name
-        func = SCALAR_FUNCTIONS.get(name)
-        if func is None:
-            return lambda row: call_scalar(
-                name, [arg(row) for arg in args])
-
-        def scalar_call(row):
-            try:
-                return func(*(arg(row) for arg in args))
-            except SQLExecutionError:
-                raise
-            except Exception as exc:
-                raise SQLExecutionError(f"{name}() failed: {exc}") from exc
-        return scalar_call
-
-    if isinstance(node, InExpr):
-        if node.subquery is not None:
-            raise Unsupported("IN (subquery)")
-        operand = _compile_row(node.operand, layout, like_cache)
-        options = [_compile_row(option, layout, like_cache)
-                   for option in node.options or ()]
-        negated = node.negated
-
-        def in_list(row):
-            value = operand(row)
-            if value is None:
-                return None
-            saw_null = False
-            for option in options:
-                candidate = option(row)
-                if candidate is None:
-                    saw_null = True
-                elif _compare("=", value, candidate):
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-        return in_list
-
-    if isinstance(node, BetweenExpr):
-        operand = _compile_row(node.operand, layout, like_cache)
-        low = _compile_row(node.low, layout, like_cache)
-        high = _compile_row(node.high, layout, like_cache)
-        negated = node.negated
-
-        def between(row):
-            value = operand(row)
-            lower_ok = _compare(">=", value, low(row))
-            upper_ok = _compare("<=", value, high(row))
-            if lower_ok is False or upper_ok is False:
-                result = False
-            elif lower_ok is None or upper_ok is None:
-                return None
-            else:
-                result = True
-            return not result if negated else result
-        return between
-
-    if isinstance(node, LikeExpr):
-        operand = _compile_row(node.operand, layout, like_cache)
-        pattern = _compile_row(node.pattern, layout, like_cache)
-        negated = node.negated
-
-        def like(row):
-            value = operand(row)
-            text = pattern(row)
-            if value is None or text is None:
-                return None
-            regex = like_cache.get(text)
-            if regex is None:
-                regex = _like_to_regex(str(text))
-                like_cache[text] = regex
-            result = bool(regex.match(str(value)))
-            return not result if negated else result
-        return like
-
-    if isinstance(node, IsNullExpr):
-        operand = _compile_row(node.operand, layout, like_cache)
-        negated = node.negated
-
-        def is_null(row):
-            result = operand(row) is None
-            return not result if negated else result
-        return is_null
-
-    if isinstance(node, CastExpr):
-        operand = _compile_row(node.operand, layout, like_cache)
-        target = node.target
-        return lambda row: _cast(operand(row), target)
-
-    if isinstance(node, CaseExpr):
-        branches = [
-            (_compile_row(condition, layout, like_cache),
-             _compile_row(result, layout, like_cache))
-            for condition, result in node.branches
-        ]
-        default = (_compile_row(node.default, layout, like_cache)
-                   if node.default is not None else None)
-        if node.operand is not None:
-            operand = _compile_row(node.operand, layout, like_cache)
-
-            def simple_case(row):
-                subject = operand(row)
-                for match, result in branches:
-                    if _compare("=", subject, match(row)):
-                        return result(row)
-                return default(row) if default is not None else None
-            return simple_case
-
-        def searched_case(row):
-            for condition, result in branches:
-                if _truthy(condition(row)):
-                    return result(row)
-            return default(row) if default is not None else None
-        return searched_case
-
-    raise Unsupported(f"cannot compile {type(node).__name__}")
-
-
-def _compile_row_binary(node: BinaryOp, layout: _Layout,
-                        like_cache: Dict[str, "re.Pattern[str]"]) -> RowFn:
-    op = node.op
-    left = _compile_row(node.left, layout, like_cache)
-    right = _compile_row(node.right, layout, like_cache)
-
-    if op == "and":
-        def logical_and(row):
-            lhs = left(row)
-            if lhs is not None and not _truthy(lhs):
-                return False
-            rhs = right(row)
-            if rhs is not None and not _truthy(rhs):
-                return False
-            if lhs is None or rhs is None:
-                return None
-            return True
-        return logical_and
-
-    if op == "or":
-        def logical_or(row):
-            lhs = left(row)
-            if lhs is not None and _truthy(lhs):
-                return True
-            rhs = right(row)
-            if rhs is not None and _truthy(rhs):
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return False
-        return logical_or
-
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return lambda row: _compare(op, left(row), right(row))
-    return lambda row: _arith(op, left(row), right(row))
-
-
-# --------------------------------------------------------------------------
-# Positional expression compilation (group context)
-# --------------------------------------------------------------------------
+    """Compile an expression into a function of one flat row tuple."""
+    emitter = _Emitter(layout, like_cache)
+    return emitter.build("row", "r", emitter.expr(node))
 
 
 def _compile_group(node: Node, layout: _Layout,
                    like_cache: Dict[str, "re.Pattern[str]"]) -> GroupFn:
-    """Compile a GROUP BY-context expression over a list of row tuples.
+    """Compile a GROUP BY-context expression over a list of row tuples."""
+    emitter = _Emitter(layout, like_cache)
+    return emitter.build("group", "g", emitter.expr(node, group=True))
 
-    Mirrors ``_Executor.eval_group``: aggregates fold their argument
-    over the group, plain column references read the group's first row,
-    row predicates evaluate against the first row, and binary operators
-    evaluate both sides eagerly (``eval_group`` does not short-circuit).
-    """
-    if isinstance(node, FunctionCall) and node.name in AGGREGATE_FUNCTIONS:
-        name = node.name
-        if node.star:
-            return lambda group: call_aggregate(name, [], star=True,
-                                                row_count=len(group))
-        if len(node.args) != 1:
-            raise Unsupported(f"aggregate {name}() arity")
-        arg = _compile_row(node.args[0], layout, like_cache)
-        distinct = node.distinct
-        return lambda group: call_aggregate(
-            name, [arg(row) for row in group], distinct=distinct)
 
-    if isinstance(node, Literal):
-        value = node.value
-        return lambda group: value
-
-    if isinstance(node, ColumnRef):
-        position = layout.position(node.name, node.table)
-        return lambda group: group[0][position] if group else None
-
-    if isinstance(node, UnaryOp):
-        operand = _compile_group(node.operand, layout, like_cache)
-        op = node.op
-        if op == "not":
-            def negate(group):
-                value = operand(group)
-                return None if value is None else not _truthy(value)
-            return negate
-
-        def signed(group):
-            value = operand(group)
-            if value is None:
-                return None
-            return -value if op == "-" else value
-        return signed
-
-    if isinstance(node, BinaryOp):
-        op = node.op
-        left = _compile_group(node.left, layout, like_cache)
-        right = _compile_group(node.right, layout, like_cache)
-
-        def binary(group):
-            lhs = left(group)
-            rhs = right(group)
-            if op == "and":
-                if lhs is not None and not _truthy(lhs):
-                    return False
-                if rhs is not None and not _truthy(rhs):
-                    return False
-                if lhs is None or rhs is None:
-                    return None
-                return True
-            if op == "or":
-                if (lhs is not None and _truthy(lhs)) \
-                        or (rhs is not None and _truthy(rhs)):
-                    return True
-                if lhs is None or rhs is None:
-                    return None
-                return False
-            if op in ("=", "<>", "<", "<=", ">", ">="):
-                return _compare(op, lhs, rhs)
-            return _arith(op, lhs, rhs)
-        return binary
-
-    if isinstance(node, FunctionCall):
-        args = [_compile_group(arg, layout, like_cache)
-                for arg in node.args]
-        name = node.name
-        return lambda group: call_scalar(
-            name, [arg(group) for arg in args])
-
-    if isinstance(node, CastExpr):
-        operand = _compile_group(node.operand, layout, like_cache)
-        target = node.target
-        return lambda group: _cast(operand(group), target)
-
-    if isinstance(node, CaseExpr):
-        branches = [
-            (_compile_group(condition, layout, like_cache),
-             _compile_group(result, layout, like_cache))
-            for condition, result in node.branches
-        ]
-        default = (_compile_group(node.default, layout, like_cache)
-                   if node.default is not None else None)
-        if node.operand is not None:
-            operand = _compile_group(node.operand, layout, like_cache)
-
-            def simple_case(group):
-                subject = operand(group)
-                for match, result in branches:
-                    if _compare("=", subject, match(group)):
-                        return result(group)
-                return default(group) if default is not None else None
-            return simple_case
-
-        def searched_case(group):
-            for condition, result in branches:
-                if _truthy(condition(group)):
-                    return result(group)
-            return default(group) if default is not None else None
-        return searched_case
-
-    if isinstance(node, (InExpr, BetweenExpr, LikeExpr, IsNullExpr)):
-        if isinstance(node, InExpr) and node.subquery is not None:
-            raise Unsupported("IN (subquery)")
-        row_fn = _compile_row(node, layout, like_cache)
-
-        def first_row(group):
-            if not group:
-                raise SQLExecutionError(
-                    "cannot evaluate row predicate over an empty group"
-                )
-            return row_fn(group[0])
-        return first_row
-
-    raise Unsupported(
-        f"cannot compile {type(node).__name__} in GROUP BY context"
-    )
+def _conjuncts(node: Node) -> List[Node]:
+    """The operands of a (nested) AND, in evaluation order."""
+    if isinstance(node, BinaryOp) and node.op == "and":
+        return _conjuncts(node.left) + _conjuncts(node.right)
+    return [node]
 
 
 # --------------------------------------------------------------------------
-# Physical operators (explain tree + per-stage closures)
+# Physical operators (explain tree + per-stage functions)
 # --------------------------------------------------------------------------
 
 
 class PhysOp:
     """One node of the compiled operator tree.
 
-    The tree exists for EXPLAIN: execution runs through the closure
-    chain compiled alongside it. ``last_rows`` is the row count the
+    The tree exists for EXPLAIN: execution runs through the stage
+    functions compiled alongside it. ``last_rows`` is the row count the
     operator produced on its most recent execution (observability only;
     concurrent executions may interleave writes harmlessly).
     """
@@ -527,21 +604,28 @@ class CompiledPipeline:
     """A deploy-time-compiled, re-executable physical plan.
 
     ``execute(catalog)`` is the entire per-trigger cost: no parsing, no
-    planning, no name resolution — just the operator closures over the
+    planning, no name resolution — just the stage functions over the
     catalog's current relations. ``signature`` records the scanned
     tables' column layouts; :func:`run_plan` recompiles when a scan's
     relation changes shape (raising :class:`SchemaMismatch` internally).
+    ``source`` is the generated Python of every stage, for debugging.
     """
 
-    __slots__ = ("root", "columns", "signature", "_run")
+    __slots__ = ("root", "columns", "signature", "_run", "_sources")
 
     def __init__(self, root: PhysOp, columns: Sequence[str],
                  signature: Tuple[Tuple[str, Tuple[str, ...]], ...],
-                 run: Callable[[Catalog], Relation]) -> None:
+                 run: Callable[[Catalog], Relation],
+                 sources: Sequence[str]) -> None:
         self.root = root
         self.columns = tuple(columns)
         self.signature = signature
         self._run = run
+        self._sources = sources
+
+    @property
+    def source(self) -> str:
+        return "\n".join(self._sources)
 
     def execute(self, catalog: Catalog) -> Relation:
         return self._run(catalog)
@@ -570,6 +654,7 @@ class _Compiler:
                         for name, cols in schemas.items()}
         self.signature: List[Tuple[str, Tuple[str, ...]]] = []
         self.like_cache: Dict[str, "re.Pattern[str]"] = {}
+        self.sources: List[str] = []
 
     # -- sources -----------------------------------------------------------
 
@@ -607,76 +692,47 @@ class _Compiler:
                 return rows
             return derived, layout, op
 
-        if isinstance(plan, HashJoinPlan):
-            return self._compile_hash_join(plan)
-
-        if isinstance(plan, NestedLoopJoinPlan):
-            return self._compile_nested_loop(plan)
+        if isinstance(plan, (HashJoinPlan, NestedLoopJoinPlan)):
+            return self._compile_join(plan)
 
         raise Unsupported(f"unknown plan node {type(plan).__name__}")
 
-    def _compile_hash_join(self, plan: HashJoinPlan
-                           ) -> Tuple[_SourceFn, _Layout, PhysOp]:
+    def _compile_join(self, plan: Plan) -> Tuple[_SourceFn, _Layout, PhysOp]:
+        """Hash join (build right, probe left, residual per pair) or,
+        without equi-keys, a nested loop over every pair."""
         left_fn, left_layout, left_op = self.compile_source(plan.left)
         right_fn, right_layout, right_op = self.compile_source(plan.right)
         layout = _Layout.merge(left_layout, right_layout)
-        left_keys = [self._row(k, left_layout) for k in plan.left_keys]
-        right_keys = [self._row(k, right_layout) for k in plan.right_keys]
-        residual = (None if plan.residual is None
-                    else self._row(plan.residual, layout))
+        hashed = isinstance(plan, HashJoinPlan)
+        if hashed:
+            left_key = self._key(plan.left_keys, left_layout)
+            right_key = self._key(plan.right_keys, right_layout)
+        condition = plan.residual if hashed else plan.condition
+        if condition is not None:
+            condition = self._row(condition, layout)
         left_join = plan.kind == "left"
         pad = (None,) * right_layout.width
-        op = PhysOp("HashJoin", f"[{plan.kind}]",
-                    children=[left_op, right_op])
+        op = PhysOp("HashJoin" if hashed else "NestedLoop",
+                    f"[{plan.kind}]", children=[left_op, right_op])
 
         def join(catalog: Catalog) -> List[Tuple[Any, ...]]:
             left_rows = left_fn(catalog)
-            right_rows = right_fn(catalog)
-            table: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-            for rrow in right_rows:
-                key = tuple(_hashable(k(rrow)) for k in right_keys)
-                if any(part is None for part in key):
-                    continue  # NULL keys never join
-                table.setdefault(key, []).append(rrow)
+            matches: Sequence[Tuple[Any, ...]] = right_fn(catalog)
+            if hashed:
+                table: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
+                for rrow in matches:
+                    key = right_key(rrow)
+                    if any(part is None for part in key):
+                        continue  # NULL keys never join
+                    table.setdefault(key, []).append(rrow)
             results: List[Tuple[Any, ...]] = []
             for lrow in left_rows:
-                key = tuple(_hashable(k(lrow)) for k in left_keys)
-                matches: Sequence[Tuple[Any, ...]] = ()
-                if not any(part is None for part in key):
-                    matches = table.get(key, ())
+                if hashed:
+                    key = left_key(lrow)
+                    matches = (() if any(part is None for part in key)
+                               else table.get(key, ()))
                 matched = False
                 for rrow in matches:
-                    merged = lrow + rrow
-                    if residual is not None \
-                            and not _truthy(residual(merged)):
-                        continue
-                    matched = True
-                    results.append(merged)
-                if left_join and not matched:
-                    results.append(lrow + pad)
-            op.last_rows = len(results)
-            return results
-        return join, layout, op
-
-    def _compile_nested_loop(self, plan: NestedLoopJoinPlan
-                             ) -> Tuple[_SourceFn, _Layout, PhysOp]:
-        left_fn, left_layout, left_op = self.compile_source(plan.left)
-        right_fn, right_layout, right_op = self.compile_source(plan.right)
-        layout = _Layout.merge(left_layout, right_layout)
-        condition = (None if plan.condition is None
-                     else self._row(plan.condition, layout))
-        left_join = plan.kind == "left"
-        pad = (None,) * right_layout.width
-        op = PhysOp("NestedLoop", f"[{plan.kind}]",
-                    children=[left_op, right_op])
-
-        def join(catalog: Catalog) -> List[Tuple[Any, ...]]:
-            left_rows = left_fn(catalog)
-            right_rows = right_fn(catalog)
-            results: List[Tuple[Any, ...]] = []
-            for lrow in left_rows:
-                matched = False
-                for rrow in right_rows:
                     merged = lrow + rrow
                     if condition is not None \
                             and not _truthy(condition(merged)):
@@ -689,84 +745,138 @@ class _Compiler:
             return results
         return join, layout, op
 
-    # -- expression helpers -------------------------------------------------
+    # -- generated stages ---------------------------------------------------
+
+    def _emitter(self, layout: _Layout, nodes: Sequence[Any],
+                 depth: int = 1) -> _Emitter:
+        """An emitter for a stage over ``nodes``, none a subquery."""
+        for node in nodes:
+            if isinstance(node, Node) and has_subquery(node):
+                raise Unsupported("subquery expression")
+        return _Emitter(layout, self.like_cache, depth)
+
+    def _build(self, emitter: _Emitter, name: str, params: str,
+               result: str, head: Sequence[str] = ()) -> Any:
+        function = emitter.build(name, params, result, head)
+        self.sources.append(function.source)
+        return function
 
     def _row(self, node: Node, layout: _Layout) -> RowFn:
-        if has_subquery(node):
-            raise Unsupported("subquery expression")
-        return _compile_row(node, layout, self.like_cache)
+        emitter = self._emitter(layout, [node])
+        return self._build(emitter, "row", "r", emitter.expr(node))
 
-    def _group(self, node: Node, layout: _Layout) -> GroupFn:
-        if has_subquery(node):
-            raise Unsupported("subquery expression")
-        return _compile_group(node, layout, self.like_cache)
+    def _key(self, nodes: Sequence[Node], layout: _Layout) -> RowFn:
+        """Join / GROUP BY key: row -> tuple of hashable values."""
+        emitter = self._emitter(layout, nodes)
+        return self._build(emitter, "key", "r",
+                           emitter.row_tuple(nodes, "_hashable({})"))
+
+    def _filter(self, where: Node, layout: _Layout
+                ) -> Tuple[Callable[[List[Any]], List[Any]], int]:
+        """The fused WHERE stage, rows -> kept rows in one loop, and
+        its conjunct count. A row is kept iff the predicate is true: a
+        false conjunct rejects it at once, a NULL one is remembered
+        while the later conjuncts still run (any may raise), exactly as
+        the nested three-valued ANDs evaluate."""
+        conjuncts = _conjuncts(where)
+        emitter = self._emitter(layout, [where], depth=2)
+        head = [" out = []", " for r in rows:"]
+        for conjunct in conjuncts[:-1]:
+            test = emitter.hold(emitter.expr(conjunct))
+            emitter.line(f"if not {test}:")
+            emitter.line(f" if {test} is None: null = True")
+            emitter.line(" else: continue")
+        test = emitter.hold(emitter.expr(conjuncts[-1]))
+        emitter.line(f"if not {test}: continue")
+        if len(conjuncts) > 1:
+            head.append("  null = False")
+            emitter.line("if null: continue")
+        emitter.line("out.append(r)")
+        return (self._build(emitter, "keep", "rows", "out", head),
+                len(conjuncts))
 
     # -- the SELECT core ----------------------------------------------------
 
     def compile_select(self, plan: SelectPlan) -> CompiledPipeline:
         if plan.source is None:
             raise Unsupported("constant-source SELECT")
-        source_fn, layout, source_op = self.compile_source(plan.source)
-        top_op = source_op
+        source_fn, layout, top_op = self.compile_source(plan.source)
 
-        where = (None if plan.where is None
-                 else self._row(plan.where, layout))
-        if where is not None:
-            top_op = PhysOp("Filter", "", children=[top_op])
-        filter_op = top_op if where is not None else None
+        def push(name: str, detail: str = "", *more: PhysOp) -> PhysOp:
+            nonlocal top_op
+            top_op = PhysOp(name, detail, [top_op, *more])
+            return top_op
 
-        columns = self._output_columns(plan, layout)
+        keep = filter_op = None
+        if plan.where is not None:
+            keep, count = self._filter(plan.where, layout)
+            filter_op = push("Filter", f"[fused, {count} conjunct"
+                             f"{'s' if count > 1 else ''}]")
 
+        items, columns = self._project_items(plan, layout)
+        offset, limit = plan.offset, plan.limit
+        #: Rows an ORDER BY must deliver when a LIMIT bounds it (Top-N).
+        bound = (limit + (offset or 0)
+                 if plan.order_by and limit is not None else None)
+        project = project_op = deferred = None
         if plan.is_aggregate:
-            stage, top_op = self._compile_aggregate(plan, layout, top_op)
+            aggregate, top_op = self._compile_aggregate(plan, layout, top_op)
         else:
-            stage, top_op = self._compile_project(plan, layout, top_op)
+            project = self._project(items, layout)
+            labels = ", ".join(item.alias or expression_name(item.expression)
+                               for item in plan.items)
+            # Total items cannot raise, so Top-N may pick among source
+            # rows and only the survivors be projected.
+            if bound is not None and not plan.distinct \
+                    and not plan.set_operations and all(
+                        isinstance(item, (int, ColumnRef, Literal))
+                        for item in items):
+                deferred = items
+            else:
+                project_op = push("Project", labels)
 
-        distinct_op: Optional[PhysOp] = None
-        if plan.distinct:
-            distinct_op = PhysOp("Distinct", "", children=[top_op])
-            top_op = distinct_op
+        distinct_op = push("Distinct") if plan.distinct else None
 
         set_stages = []
         for op_name, all_flag, right_plan in plan.set_operations:
             right = self.compile_select(right_plan)
             if len(right.columns) != len(columns):
                 raise Unsupported("set-operation width mismatch")
-            set_op = PhysOp("SetOp",
-                            op_name.upper() + (" ALL" if all_flag else ""),
-                            children=[top_op, right.root])
-            set_stages.append((op_name, all_flag, right, set_op))
-            top_op = set_op
+            set_stages.append((op_name, all_flag, right, push(
+                "SetOp", op_name.upper() + (" ALL" if all_flag else ""),
+                right.root)))
 
-        order_keys = None
-        sort_op: Optional[PhysOp] = None
+        decorate = order_op = slice_op = None
         if plan.order_by:
-            order_keys = self._compile_order(plan, layout, columns)
-            sort_op = PhysOp("Sort", ", ".join(
-                ("%s" % expression_name(item.expression))
+            decorate = self._order(plan, layout, columns, deferred)
+            keys = ", ".join(
+                expression_name(item.expression)
                 + ("" if item.ascending else " DESC")
-                for item in plan.order_by), children=[top_op])
-            top_op = sort_op
+                for item in plan.order_by)
+            order_op = slice_op = (
+                push("Sort", keys) if bound is None else
+                push("TopN", f"k={limit} offset={offset or 0} [{keys}]"))
+        if bound is None and (limit is not None or offset is not None):
+            slice_op = push("Limit", " ".join(
+                f"{word} {value}" for word, value in
+                (("LIMIT", limit), ("OFFSET", offset)) if value is not None))
+        if deferred is not None:
+            project_op = push("Project", labels)
 
-        limit_op: Optional[PhysOp] = None
-        if plan.limit is not None or plan.offset is not None:
-            bits = []
-            if plan.limit is not None:
-                bits.append(f"LIMIT {plan.limit}")
-            if plan.offset is not None:
-                bits.append(f"OFFSET {plan.offset}")
-            limit_op = PhysOp("Limit", " ".join(bits), children=[top_op])
-            top_op = limit_op
-
-        offset, limit = plan.offset, plan.limit
         out_columns = tuple(columns)
 
         def run(catalog: Catalog) -> Relation:
             rows = source_fn(catalog)
-            if where is not None:
-                rows = [row for row in rows if _truthy(where(row))]
+            if keep is not None:
+                rows = keep(rows)
                 filter_op.last_rows = len(rows)
-            out_rows, contexts = stage(rows)
+            if deferred is not None:
+                out_rows = contexts = rows
+            elif project is not None:
+                out_rows, contexts = project(rows), rows
+                project_op.last_rows = len(out_rows)
+            else:
+                out_rows, contexts = aggregate(rows)
             if distinct_op is not None:
                 out_rows, contexts = _distinct_rows(out_rows, contexts)
                 distinct_op.last_rows = len(out_rows)
@@ -776,120 +886,87 @@ class _Compiler:
                                          out_rows, right_rows)
                 contexts = [None] * len(out_rows)
                 set_op.last_rows = len(out_rows)
-            if order_keys is not None:
-                out_rows = _sort_rows(out_rows, contexts, order_keys)
-                sort_op.last_rows = len(out_rows)
+            if decorate is not None:
+                out_rows = _ordered(decorate, out_rows, contexts, bound)
+                order_op.last_rows = len(out_rows)
             if offset is not None:
                 out_rows = out_rows[offset:]
             if limit is not None:
                 out_rows = out_rows[:limit]
-            if limit_op is not None:
-                limit_op.last_rows = len(out_rows)
+            if slice_op is not None:
+                slice_op.last_rows = len(out_rows)
+            if deferred is not None:
+                out_rows = project(out_rows)
+                project_op.last_rows = len(out_rows)
             result = Relation(out_columns)
             result.rows = out_rows
             return result
 
         return CompiledPipeline(top_op, out_columns,
-                                tuple(self.signature), run)
+                                tuple(self.signature), run, self.sources)
 
     # -- projection ---------------------------------------------------------
 
-    def _output_columns(self, plan: SelectPlan,
-                        layout: _Layout) -> List[str]:
+    def _project_items(self, plan: SelectPlan, layout: _Layout
+                       ) -> Tuple[List[Any], List[str]]:
+        """One entry per output column — a source-row position (``*``
+        expands to its bindings' positions) or the item's expression —
+        and the output column names."""
+        items: List[Any] = []
         names: List[str] = []
         for item in plan.items:
             expr = item.expression
-            if isinstance(expr, Star):
-                if expr.table is not None:
-                    if expr.table not in layout.segments:
-                        raise Unsupported(f"unknown table in {expr.table}.*")
-                    names.extend(layout.segments[expr.table][1])
-                else:
-                    for binding in layout.order:
-                        names.extend(layout.segments[binding][1])
-            elif item.alias:
-                names.append(item.alias)
-            else:
-                names.append(expression_name(expr))
-        return dedupe_columns(names)
+            if not isinstance(expr, Star):
+                items.append(expr)
+                names.append(item.alias or expression_name(expr))
+                continue
+            bindings = ([expr.table] if expr.table is not None
+                        else list(layout.order))
+            for binding in bindings:
+                if binding not in layout.segments:
+                    raise Unsupported(f"unknown table in {binding}.*")
+                start, cols = layout.segments[binding]
+                items.extend(range(start, start + len(cols)))
+                names.extend(cols)
+        return items, dedupe_columns(names)
 
-    def _compile_project(self, plan: SelectPlan, layout: _Layout,
-                         child: PhysOp):
-        """Non-aggregate projection; returns (stage, op). The stage maps
-        source rows to (output rows, contexts) where each context is the
-        source row itself (ORDER BY may evaluate arbitrary expressions
-        against it, exactly like the interpreter's env contexts)."""
-        parts: List[Tuple[str, Any, Any]] = []
-        for item in plan.items:
-            expr = item.expression
-            if isinstance(expr, Star):
-                bindings = ([expr.table] if expr.table is not None
-                            else list(layout.order))
-                for binding in bindings:
-                    if binding not in layout.segments:
-                        raise Unsupported(f"unknown table in {binding}.*")
-                    offset, cols = layout.segments[binding]
-                    parts.append(("slice", offset, offset + len(cols)))
-            else:
-                parts.append(("expr", self._row(expr, layout), None))
-        op = PhysOp("Project", ", ".join(
-            item.alias or expression_name(item.expression)
-            for item in plan.items), children=[child])
-
-        # The overwhelmingly common shapes get specialized stages.
-        if len(parts) == 1 and parts[0][0] == "slice" \
-                and parts[0][1] == 0 and parts[0][2] == layout.width:
-            def identity_stage(rows):
-                op.last_rows = len(rows)
-                return list(rows), rows
-            return identity_stage, op
-
-        if all(kind == "expr" for kind, __, __ in parts):
-            fns = [fn for __, fn, __ in parts]
-
-            def expr_stage(rows):
-                out = [tuple(fn(row) for fn in fns) for row in rows]
-                op.last_rows = len(out)
-                return out, rows
-            return expr_stage, op
-
-        def mixed_stage(rows):
-            out = []
-            for row in rows:
-                values: List[Any] = []
-                for kind, a, b in parts:
-                    if kind == "slice":
-                        values.extend(row[a:b])
-                    else:
-                        values.append(a(row))
-                out.append(tuple(values))
-            op.last_rows = len(out)
-            return out, rows
-        return mixed_stage, op
+    def _project(self, items: List[Any], layout: _Layout
+                 ) -> Callable[[List[Any]], List[Any]]:
+        """The fused projection, rows -> output rows: one generated
+        comprehension (a loop when an item needs statements)."""
+        if items == list(range(layout.width)):
+            return list  # ``select *``: the rows themselves, copied
+        emitter = self._emitter(layout, items)
+        return self._build(emitter, "project", "rows", emitter.collect(
+            lambda: emitter.row_tuple(items), "rows"))
 
     def _compile_aggregate(self, plan: SelectPlan, layout: _Layout,
                            child: PhysOp):
-        """GROUP BY + HashAggregate (or a single whole-input group)."""
-        for item in plan.items:
-            if isinstance(item.expression, Star):
-                # Legacy raises at query time; stay on the interpreter.
-                raise Unsupported("SELECT * with aggregation")
-        key_fns = [self._row(expr, layout) for expr in plan.group_by]
-        item_fns = [self._group(item.expression, layout)
-                    for item in plan.items]
-        having = (None if plan.having is None
-                  else self._group(plan.having, layout))
-        grouped = bool(plan.group_by)
+        """GROUP BY + HashAggregate (or a single whole-input group);
+        returns (stage, op), the stage mapping source rows to (output
+        rows, contexts) with each context the row's group."""
+        exprs = [item.expression for item in plan.items]
+        if any(isinstance(expr, Star) for expr in exprs):
+            # Legacy raises at query time; stay on the interpreter.
+            raise Unsupported("SELECT * with aggregation")
+        key = self._key(plan.group_by, layout) if plan.group_by else None
+        emitter = self._emitter(layout, exprs)
+        items = self._build(emitter, "items", "g", "(" + "".join(
+            [emitter.expr(expr, group=True) + ", " for expr in exprs]) + ")")
+        having = None
+        if plan.having is not None:
+            emitter = self._emitter(layout, [plan.having])
+            having = self._build(emitter, "having", "g",
+                                 emitter.expr(plan.having, group=True))
         op = PhysOp("HashAggregate",
-                    f"keys={len(key_fns)}" if grouped else "plain",
+                    f"keys={len(plan.group_by)}" if key else "plain",
                     children=[child])
 
         def stage(rows):
-            if grouped:
+            if key is not None:
                 groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
                 for row in rows:
-                    key = tuple(_hashable(fn(row)) for fn in key_fns)
-                    groups.setdefault(key, []).append(row)
+                    groups.setdefault(key(row), []).append(row)
                 group_list = list(groups.values())
             else:
                 group_list = [rows]  # single group, even when empty
@@ -898,7 +975,7 @@ class _Compiler:
             for group in group_list:
                 if having is not None and not _truthy(having(group)):
                     continue
-                out_rows.append(tuple(fn(group) for fn in item_fns))
+                out_rows.append(items(group))
                 contexts.append(group)
             op.last_rows = len(out_rows)
             return out_rows, contexts
@@ -906,58 +983,53 @@ class _Compiler:
 
     # -- ORDER BY -----------------------------------------------------------
 
-    def _compile_order(self, plan: SelectPlan, layout: _Layout,
-                       columns: Sequence[str]):
-        """Per-item key closures: (row, context) -> raw sort value."""
+    def _order(self, plan: SelectPlan, layout: _Layout,
+               columns: Sequence[str], deferred: Optional[List[Any]]):
+        """The generated decorate stage: (rows, contexts) -> one
+        ``(key, ..., index, row)`` tuple per row, plus whether any key
+        was NaN. A key reads an output column (by position, name or
+        alias) or evaluates against the row's context — its source row,
+        or its group under aggregation; there is none after a set
+        operation. With ``deferred`` projection items the rows *are*
+        the source rows and an output column is its item."""
         aliases = {item.alias: item.expression
                    for item in plan.items if item.alias}
-        column_positions = {name: i for i, name in enumerate(columns)}
-        width = len(columns)
+        positions = {name: i for i, name in enumerate(columns)}
+        emitter = self._emitter(
+            layout, [item.expression for item in plan.order_by], depth=2)
         keys = []
         for order_item in plan.order_by:
             expr = order_item.expression
+            position = None
             if isinstance(expr, Literal) and isinstance(expr.value, int) \
                     and not isinstance(expr.value, bool):
                 position = expr.value - 1
-                if not 0 <= position < width:
-                    value = expr.value
-
-                    def out_of_range(row, context, value=value):
-                        raise SQLExecutionError(
-                            f"ORDER BY position {value} out of range"
-                        )
-                    keys.append((out_of_range, order_item.ascending))
+                if not 0 <= position < len(columns):
+                    emitter.fail(
+                        f"ORDER BY position {expr.value} out of range")
                     continue
-                keys.append((
-                    lambda row, context, position=position: row[position],
-                    order_item.ascending,
-                ))
+            elif isinstance(expr, ColumnRef) and expr.table is None:
+                position = positions.get(expr.name)
+                expr = aliases.get(expr.name, expr)
+            if position is not None:
+                value = (f"o[{position}]" if deferred is None
+                         else emitter.item(deferred[position]))
+            elif plan.set_operations:
+                emitter.fail("ORDER BY over a set operation must "
+                             "reference output columns")
                 continue
-            if isinstance(expr, ColumnRef) and expr.table is None:
-                if expr.name in column_positions:
-                    position = column_positions[expr.name]
-                    keys.append((
-                        lambda row, context, position=position:
-                            row[position],
-                        order_item.ascending,
-                    ))
-                    continue
-                if expr.name in aliases:
-                    expr = aliases[expr.name]
-            if plan.is_aggregate:
-                fn = self._group(expr, layout)
             else:
-                fn = self._row(expr, layout)
-
-            def contextual(row, context, fn=fn):
-                if context is None:
-                    raise SQLExecutionError(
-                        "ORDER BY over a set operation must reference "
-                        "output columns"
-                    )
-                return fn(context)
-            keys.append((contextual, order_item.ascending))
-        return keys
+                value = emitter.expr(expr, group=plan.is_aggregate)
+            keys.append(emitter.order_key(value, order_item.ascending))
+        context = "g" if plan.is_aggregate else "r"
+        loop, row = ((f"(o, {context}) in enumerate(zip(rows, contexts))",
+                      "o") if deferred is None
+                     else ("r in enumerate(contexts)", "r"))
+        emitter.line(f"out.append(({''.join(k + ', ' for k in keys)}"
+                     f"i, {row}))")
+        return self._build(
+            emitter, "decorate", "rows, contexts", "out, nan",
+            [" out = []", " nan = False", f" for i, {loop}:"])
 
 
 def _distinct_rows(rows: List[Tuple[Any, ...]], contexts: List[Any]):
@@ -974,16 +1046,19 @@ def _distinct_rows(rows: List[Tuple[Any, ...]], contexts: List[Any]):
     return out_rows, out_contexts
 
 
-def _sort_rows(rows: List[Tuple[Any, ...]], contexts: List[Any], keys):
-    decorated = []
-    for index, (row, context) in enumerate(zip(rows, contexts)):
-        key = []
-        for fn, ascending in keys:
-            value = _sort_key(fn(row, context))
-            key.append(value if ascending else _Reversed(value))
-        decorated.append((tuple(key), index, row))
-    decorated.sort(key=lambda entry: (entry[0], entry[1]))
-    return [entry[2] for entry in decorated]
+def _ordered(decorate, rows: List[Tuple[Any, ...]], contexts: List[Any],
+             bound: Optional[int]) -> List[Tuple[Any, ...]]:
+    """``rows`` in ORDER BY order — only the first ``bound`` of them
+    when a LIMIT bounds the sort (Top-N). Entries carry their input
+    index, so they are totally ordered and the bounded selection equals
+    sort-then-slice; NaN keys have no total order, so they keep the
+    full sort."""
+    decorated, nan = decorate(rows, contexts)
+    if bound is None or nan:
+        decorated.sort()
+    else:
+        decorated = heapq.nsmallest(bound, decorated)
+    return [entry[-1] for entry in decorated]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Integration tests for the asyncio batched-ingestion gateway."""
 
+import gc
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -194,6 +196,22 @@ class TestLifecycleAndObservability:
             assert status == 200
         finally:
             gateway.stop()
+
+    def test_stop_with_an_idle_keep_alive_client(self, deployed, caplog):
+        gateway = AsyncIngestGateway(deployed).start()
+        loop_thread = next(thread for thread in threading.enumerate()
+                           if thread.name == "gsn-ingest-loop")
+        with socket.create_connection(gateway.address, timeout=5) as client:
+            client.sendall(b"GET /status HTTP/1.1\r\nHost: gsn\r\n\r\n")
+            assert client.recv(65536).startswith(b"HTTP/1.1 200")
+            # The handler now waits for the next request of this client.
+            with caplog.at_level("DEBUG", logger="asyncio"):
+                gateway.stop()
+                gc.collect()
+            assert not loop_thread.is_alive()
+            assert client.recv(65536) == b""  # closed by the gateway
+        assert [record.getMessage() for record in caplog.records
+                if "Task was destroyed" in record.getMessage()] == []
 
     def test_status_reports_serving_flag(self, deployed):
         gateway = AsyncIngestGateway(deployed)

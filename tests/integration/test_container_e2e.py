@@ -130,6 +130,36 @@ class TestQueriesAndSubscriptions:
         assert len(hits) == 3
         assert hits[-1]["rows"] == [{"n": 3}]
 
+    def test_failing_query_does_not_silence_later_subscribers(
+            self, container, caplog):
+        from repro.notifications.channels import CallbackChannel
+        hits = {"before": [], "after": []}
+        for name, sink in hits.items():
+            container.notifications.add_channel(
+                CallbackChannel(name, sink.append))
+        container.deploy(XML)
+        later_listener = []
+        container.sensor("avg-temp").add_listener(later_listener.append)
+        container.register_query("select count(*) as n from vs_avg_temp",
+                                 channel="before")
+        poisoned = container.register_query(
+            "select * from vs_avg_temp where temperature > 'abc'")
+        container.register_query("select count(*) as n from vs_avg_temp",
+                                 channel="after")
+        with caplog.at_level("WARNING", logger="repro.query.repository"):
+            container.run_for(1_500)
+        assert [hit["rows"] for hit in hits["after"]] \
+            == [hit["rows"] for hit in hits["before"]] \
+            == [[{"n": 1}], [{"n": 2}], [{"n": 3}]]
+        assert len(later_listener) == 3
+        assert poisoned.summary()["failures"] == 3
+        assert poisoned.notifications_sent == 0
+        counters = container.repository.status()["counters"]
+        assert counters["failures"] == 3 and counters["evaluations"] == 6
+        warnings = [record for record in caplog.records
+                    if poisoned.name in record.getMessage()]
+        assert len(warnings) == 1  # once per subscription, not per arrival
+
     def test_retention_bounds_history(self, container):
         # 1h retention vs only 5 s of data: all rows retained; then a
         # tight window via a second sensor.

@@ -19,6 +19,7 @@ from repro.sqlengine.parser import parse_select
 from repro.sqlengine.physical import catalog_schemas, try_compile
 from repro.sqlengine.planner import plan_select
 from repro.sqlengine.relation import Relation
+from repro.simulation.workload import QueryWorkloadGenerator
 
 T_COLUMNS = ("a", "b", "s")
 U_COLUMNS = ("k", "w")
@@ -62,12 +63,30 @@ QUERIES = [
     "where u.w is not null order by t.a, u.w limit 6",
     "select u.k, count(*) as n, avg(t.a) as mean "
     "from t join u on t.b = u.k group by u.k",
+    "select t.a, u.w from t left join u on t.b = u.k and u.w > 0",
+    "select t.a, u.k from t, u where t.b < u.k",       # nested loop
+    "select t.a, u.w from t left join u on t.a < u.w "
+    "order by u.w desc, t.a limit 7",
     "select b from t union select k from u",
     "select b from t intersect select k from u order by b",
     "select b from t except select k from u",
     "select d.b, count(*) as n from "
     "(select b from t where a is not null) d group by d.b",
 ]
+
+# What the Figure 4 experiment and the ``client_fanout`` benchmark
+# register: conjunctions of integer comparisons and a MOD decimation.
+CF_COLUMNS = ("camera_id", "width", "height", "timed")
+WORKLOAD_QUERIES = [
+    sql for seed in (0, 7, 11)
+    for sql in QueryWorkloadGenerator("vs_cf", lambda: 1_000_000,
+                                      seed=seed).batch(8)
+]
+cf_rows = st.lists(
+    st.tuples(*[st.one_of(st.none(), st.integers(0, 1000))] * 3,
+              st.one_of(st.none(), st.integers(0, 1_000_000))),
+    max_size=20,
+)
 
 
 def outcome(fn):
@@ -88,6 +107,18 @@ def test_pipeline_matches_interpreter(t, u, sql):
     schemas = catalog_schemas(plan, catalog)
     assert schemas is not None
     pipeline = try_compile(plan, schemas)
+    assert pipeline is not None, \
+        (sql, getattr(plan, "_phys_reason", None))
+    assert outcome(lambda: pipeline.execute(catalog)) \
+        == outcome(lambda: execute_plan(plan, catalog)), sql
+
+
+@settings(max_examples=120, deadline=None)
+@given(cf=cf_rows, sql=st.sampled_from(WORKLOAD_QUERIES))
+def test_workload_generator_queries_match_interpreter(cf, sql):
+    plan = plan_select(parse_select(sql))
+    catalog = Catalog({"vs_cf": Relation(CF_COLUMNS, cf)})
+    pipeline = try_compile(plan, catalog_schemas(plan, catalog))
     assert pipeline is not None, \
         (sql, getattr(plan, "_phys_reason", None))
     assert outcome(lambda: pipeline.execute(catalog)) \

@@ -46,6 +46,19 @@ class TestLatencyRecorder:
         assert recorder.samples == []
         assert recorder.mean_ms == 5.0
 
+    def test_samples_are_a_bounded_ring(self):
+        recorder = LatencyRecorder()
+        for ms in range(10_000):
+            recorder.record(float(ms))
+        assert len(recorder.samples) == 4096
+        assert sorted(recorder.samples) \
+            == [float(ms) for ms in range(10_000 - 4096, 10_000)]
+        summary = recorder.summary()
+        assert summary["count"] == 10_000  # exact, not ring-bounded
+        assert summary["min_ms"] == 0.0 and summary["max_ms"] == 9999.0
+        assert summary["mean_ms"] == 4999.5
+        assert summary["p50_ms"] == 10_000 - 2048  # over the last 4096
+
     def test_reset(self):
         recorder = LatencyRecorder()
         recorder.record(1.0)
