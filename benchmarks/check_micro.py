@@ -26,8 +26,10 @@ Run after ``pytest benchmarks/test_micro.py`` has written
   trigger, or its end-to-end armed-vs-bare difference leaves the 10%
   noise bound,
 - batched ingestion (``BENCH_ingest.json``, merged when present) loses
-  its 5x throughput floor over per-tuple delivery, or the event-loop
-  lag witness costs more than 2% of loop wall time.
+  its 5x throughput floor over per-tuple delivery, a batch-admission
+  cell costs more microseconds per tuple than its ceiling in
+  ``baseline.json``, or the event-loop lag witness costs more than 2%
+  of loop wall time.
 """
 
 from __future__ import annotations
@@ -151,6 +153,18 @@ def check(metrics: dict, baseline: dict) -> List[str]:
         elif speedup < floor:
             failures.append(f"{name} below its {floor}x compiled floor "
                             f"({speedup:.1f}x over the interpreter)")
+
+    for name, ceiling in sorted(
+            baseline.get("admission_ceilings_us_per_tuple", {}).items()):
+        cost = metrics.get(name, {}).get("admission_us_per_tuple")
+        if cost is None:
+            failures.append(f"{name}: admission cell missing from "
+                            "BENCH_ingest.json")
+            continue
+        print(f"{name}: {cost:.2f} us per tuple (ceiling {ceiling} us)")
+        if cost > ceiling:
+            failures.append(f"{name}: batch admission costs {cost:.2f} us "
+                            f"per tuple (ceiling {ceiling} us)")
 
     recorded_pct = baseline["fast_path_static_coverage"]["examples_percent"]
     coverage = metrics.get("fast_path_static_coverage", {})

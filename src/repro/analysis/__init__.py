@@ -18,51 +18,58 @@ Command line::
 
     gsn-lint examples/descriptors/*.xml
     python -m repro.analysis --self-check
+
+The names below are re-exported lazily (PEP 562): importing this
+package — which every ``from repro.analysis import crashwitness`` in
+the runtime does — loads none of the analyzers; a name is imported from
+its module the first time it is asked for.
 """
 
-from repro.analysis.asyncgraph import AsyncAnalysis, analyze_async
-from repro.analysis.callgraph import ProgramIndex
-from repro.analysis.crashwitness import CrashWitness
-from repro.analysis.flowgraph import FlowAnalysis, analyze_flow
-from repro.analysis.lockgraph import (
-    DeadlockAnalysis, LockGraph, analyze_deadlocks, expand_paths,
-)
-from repro.analysis.locklint import lint_file, lint_files, lint_source
-from repro.analysis.lockwitness import LockOrderViolation, LockWitness
-from repro.analysis.loopwitness import LoopLagViolation, LoopWitness
-from repro.analysis.passes import (
-    DEFAULT_MEMORY_BUDGET, analyze, analyze_descriptor,
-    attach_descriptor_lines, estimate_window_memory, schema_check,
-)
-from repro.analysis.planpass import (
-    AnnotatedPlan, DescriptorPlan, PlanVerdict, annotate_plan,
-    descriptor_verdicts, plan_descriptor, source_query_verdict,
-    structural_verdict,
-)
-from repro.analysis.racegraph import RaceAnalysis, analyze_races
-from repro.analysis.racewitness import RaceWitness, RaceWitnessViolation
-from repro.analysis.rules import (
-    ERROR, WARNING, Finding, Report, Rule, catalogue, describe,
-)
-from repro.analysis.schema_infer import (
-    SchemaInferencer, infer_output_schema, wrapper_relation_schema,
-)
+from importlib import import_module
+from typing import Any, List
 
-__all__ = [
-    "DEFAULT_MEMORY_BUDGET", "ERROR", "WARNING",
-    "AnnotatedPlan", "AsyncAnalysis", "CrashWitness", "DeadlockAnalysis",
-    "DescriptorPlan",
-    "Finding", "FlowAnalysis", "LockGraph", "LockOrderViolation",
-    "LockWitness", "LoopLagViolation", "LoopWitness",
-    "PlanVerdict", "ProgramIndex",
-    "RaceAnalysis", "RaceWitness", "RaceWitnessViolation",
-    "Report", "Rule", "SchemaInferencer",
-    "analyze", "analyze_async", "analyze_deadlocks", "analyze_descriptor",
-    "analyze_flow",
-    "analyze_races", "annotate_plan", "attach_descriptor_lines",
-    "catalogue", "describe", "descriptor_verdicts",
-    "estimate_window_memory", "expand_paths",
-    "infer_output_schema", "lint_file", "lint_files", "lint_source",
-    "plan_descriptor", "schema_check", "source_query_verdict",
-    "structural_verdict", "wrapper_relation_schema",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "asyncgraph": ("AsyncAnalysis", "analyze_async"),
+        "callgraph": ("ProgramIndex",),
+        "crashwitness": ("CrashWitness",),
+        "flowgraph": ("FlowAnalysis", "analyze_flow"),
+        "lockgraph": ("DeadlockAnalysis", "LockGraph", "analyze_deadlocks",
+                      "expand_paths"),
+        "locklint": ("lint_file", "lint_files", "lint_source"),
+        "lockwitness": ("LockOrderViolation", "LockWitness"),
+        "loopwitness": ("LoopLagViolation", "LoopWitness"),
+        "passes": ("DEFAULT_MEMORY_BUDGET", "analyze", "analyze_descriptor",
+                   "attach_descriptor_lines", "estimate_window_memory",
+                   "schema_check"),
+        "planpass": ("AnnotatedPlan", "DescriptorPlan", "PlanVerdict",
+                     "annotate_plan", "descriptor_verdicts",
+                     "plan_descriptor", "source_query_verdict",
+                     "structural_verdict"),
+        "racegraph": ("RaceAnalysis", "analyze_races"),
+        "racewitness": ("RaceWitness", "RaceWitnessViolation"),
+        "rules": ("ERROR", "WARNING", "Finding", "Report", "Rule",
+                  "catalogue", "describe"),
+        "schema_infer": ("SchemaInferencer", "infer_output_schema",
+                         "wrapper_relation_schema"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

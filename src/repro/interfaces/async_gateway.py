@@ -3,11 +3,17 @@
 The thread-per-request :class:`~repro.interfaces.http_server.GSNHttpServer`
 serves the *query* side; this module is the *ingest* side built for
 fan-in: a single event loop accepts tuples over HTTP from many
-producers, batches them per source with a max-latency bound, and hands
-each batch across a bounded queue to a drain thread that delivers it to
-the threaded :class:`~repro.vsensor.virtual_sensor.VirtualSensor`
-runtime via :meth:`ingest_batch` — one window-update + query evaluation
-amortized over the whole batch.
+producers, batches them per source, and hands each batch across a
+bounded queue to a drain thread that delivers it to the threaded
+:class:`~repro.vsensor.virtual_sensor.VirtualSensor` runtime via
+:meth:`ingest_batch` — one window-update + query evaluation amortized
+over the whole batch.
+
+A batch leaves the loop on the first of: it reached ``max_batch``; the
+drain thread is idle (nothing queued, nothing being delivered) — so a
+lightly loaded gateway adds no waiting, and a busy one batches exactly
+as much as the drain's pace allows; its ``max_latency_ms`` timer fired
+(the bound on a partial batch's wait while the drain is busy).
 
 Routes
 ------
@@ -34,7 +40,10 @@ Threading & ownership discipline (this file is the proving ground for
 - the **drain thread** (``gsn-ingest-drain``) pulls batches with a
   bounded ``get(timeout=...)``, resolves the sensor at delivery time,
   and owns everything slow: sensor delivery, flight-recorder shed/error
-  events, crash reporting;
+  events, crash reporting. It marks each batch ``task_done()`` and,
+  when none is left, pokes the loop (``call_soon_threadsafe``) — the
+  hand-off queue's own ``unfinished_tasks`` is the idle signal, so no
+  new shared state crosses the two threads;
 - cross-thread control state (threads, stopping, health) is guarded by
   ``_state_lock`` in the ordinary ``# guarded-by:`` discipline.
 
@@ -56,7 +65,7 @@ import json
 import logging
 import queue
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import loopwitness
 from repro.concurrency import new_lock
@@ -80,7 +89,8 @@ class AsyncIngestGateway:
 
     ``max_batch`` caps tuples per batch (a full batch flushes
     immediately); ``max_latency_ms`` bounds how long a partial batch may
-    wait; ``handoff_capacity`` bounds the loop→drain queue in *batches*
+    wait for a busy drain thread (an idle one takes it at once);
+    ``handoff_capacity`` bounds the loop→drain queue in *batches*
     (beyond it, new batches are shed).
     """
 
@@ -102,7 +112,8 @@ class AsyncIngestGateway:
         self._shutdown: Optional[asyncio.Event] = None  # owned-by: loop
         self._bound: Optional[Tuple[str, int]] = None  # owned-by: loop
         self._batchers: Dict[BatchKey, List[Dict[str, Any]]] = {}  # owned-by: loop
-        self._clients: Set[Any] = set()  # owned-by: loop
+        self._timers: Dict[BatchKey, asyncio.TimerHandle] = {}  # owned-by: loop
+        self._clients: Dict[asyncio.Task[None], asyncio.StreamWriter] = {}  # owned-by: loop
         self.tuples_accepted = 0  # owned-by: loop
         self.batches_flushed = 0  # owned-by: loop
         self.shed_tuples = 0  # owned-by: loop
@@ -222,9 +233,12 @@ class AsyncIngestGateway:
             server.close()
             # An idle keep-alive client parks its handler in a read;
             # left pending, the task would be destroyed with the loop.
-            clients = list(self._clients)
-            for client in clients:
-                client.cancel()
+            # Closing the transport feeds the read an EOF, so the
+            # handler returns by itself — a cancelled handler task
+            # trips the stream protocol's done-callback on Python 3.11.
+            clients = dict(self._clients)
+            for writer in clients.values():
+                writer.close()
             await asyncio.gather(*clients, return_exceptions=True)
             await server.wait_closed()
 
@@ -237,7 +251,8 @@ class AsyncIngestGateway:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
-        self._clients.add(task)
+        assert task is not None
+        self._clients[task] = writer
         try:
             while True:
                 request = await self._read_request(reader)
@@ -252,7 +267,7 @@ class AsyncIngestGateway:
         except (ConnectionError, asyncio.IncompleteReadError) as exc:
             logger.debug("ingest client dropped: %s", exc)
         finally:
-            self._clients.discard(task)
+            self._clients.pop(task, None)
             writer.close()
 
     async def _read_request(
@@ -326,22 +341,48 @@ class AsyncIngestGateway:
         return 202, {"accepted": accepted}
 
     def _enqueue(self, key: BatchKey, items: List[Dict[str, Any]]) -> int:
+        """Add ``items`` to their batcher and decide when it flushes:
+        now if it is full; as soon as this request is answered if the
+        drain has nothing to do; otherwise when the drain goes idle
+        (:meth:`_drain_idle`) or after ``max_latency_ms``, whichever
+        comes first."""
         batch = self._batchers.setdefault(key, [])
         fresh = not batch
         batch.extend(items)
         self.tuples_accepted += len(items)
+        loop = self._loop
         if len(batch) >= self.max_batch:
             self._flush(key)
-        elif fresh:
-            loop = self._loop
-            if loop is not None:
-                loop.call_later(self.max_latency_ms / 1000.0,
-                                self._flush, key)
+        elif loop is not None:
+            if fresh:
+                self._timers[key] = loop.call_later(
+                    self.max_latency_ms / 1000.0, self._flush, key)
+            if not self._handoff.unfinished_tasks:
+                # Deferred one loop turn, so the 202 is written before
+                # the drain thread wakes up and competes for the GIL.
+                loop.call_soon(self._drain_idle)
         return len(items)
+
+    def _drain_idle(self) -> None:
+        """Runs on the loop — after a request found the drain free, or
+        poked by the drain thread when it ran out of work: hand over the
+        oldest partial batch. One at a time: the others keep filling
+        while that one is delivered, and the next poke takes the next.
+
+        ``unfinished_tasks`` counts batches queued *or being delivered*
+        (the drain calls ``task_done`` after each delivery), so it is
+        the idle signal as it stands: the queue guards it, a stale read
+        costs nothing (the poke that follows the change re-runs this).
+        """
+        if self._batchers and not self._handoff.unfinished_tasks:
+            self._flush(next(iter(self._batchers)))
 
     def _flush(self, key: BatchKey) -> None:
         """Hand one batcher's content to the drain thread in
         ``max_batch``-sized batches, shedding on overflow."""
+        timer = self._timers.pop(key, None)
+        if timer is not None:
+            timer.cancel()
         items = self._batchers.pop(key, [])
         for start in range(0, len(items), self.max_batch):
             chunk = items[start:start + self.max_batch]
@@ -389,7 +430,23 @@ class AsyncIngestGateway:
                         return
                 continue
             self._deliver(key, items)
+            self._handoff.task_done()
+            if not self._handoff.unfinished_tasks:
+                self._poke_loop()
             surfaced_sheds = self._surface_sheds(surfaced_sheds)
+
+    def _poke_loop(self) -> None:
+        """Tell the loop the drain is idle, so a partial batch that
+        accumulated behind the last delivery goes out now instead of
+        waiting for its timer."""
+        loop = self._loop
+        if loop is None:
+            return
+        try:
+            loop.call_soon_threadsafe(self._drain_idle)
+        except RuntimeError:
+            # stop() joins the loop first: it already flushed everything.
+            logger.debug("ingest loop closed before the idle poke")
 
     def _deliver(self, key: BatchKey, items: List[Dict[str, Any]]) -> None:
         sensor_name, stream_name, alias = key

@@ -222,6 +222,8 @@ class PipelineTracer:
         root.finish()
         if self._step_latency is not None:
             for child in root.children:
+                if child.name == PIPELINE_STEPS[0]:
+                    continue  # adopted ingest span: record_ingest fed it
                 instrument = self._step_latency.get(child.name)
                 if instrument is not None and child.duration_ms is not None:
                     instrument.observe(child.duration_ms)

@@ -51,7 +51,9 @@ from repro.sqlengine.planner import (
     SubqueryScanPlan,
 )
 from repro.sqlengine.relation import Relation
-from repro.streams.materialized import RowListener, WindowRelation
+from repro.streams.materialized import (
+    RowListener, WindowRelation, in_window_order,
+)
 
 logger = logging.getLogger("repro.sqlengine.incremental")
 
@@ -434,15 +436,31 @@ class IncrementalAggregateState(RowListener):
 
     # -- RowListener protocol ----------------------------------------------
 
-    def row_appended(self, row: Tuple[Any, ...]) -> None:
+    def rows_extended(self, appended: Sequence[Tuple[Any, ...]],
+                      evicted: Sequence[Tuple[Any, ...]]) -> None:
+        """Fold one admitted batch in window order, under one guard:
+        the first delta that raises poisons the state, exactly as it
+        would have delivered row by row."""
         if not self.healthy:
             return
+        passes, include, exclude = self._passes, self._include, self._exclude
+        applied = 0
         try:
-            if self._passes(row):
-                self._include(row)
-            self.updates += 1
+            for old, new in in_window_order(appended, evicted):
+                if old is not None:
+                    if passes(old):
+                        exclude(old)
+                    applied += 1
+                if passes(new):
+                    include(new)
+                applied += 1
         except Exception as exc:
             self._poison(exc)
+        finally:
+            self.updates += applied
+
+    def row_appended(self, row: Tuple[Any, ...]) -> None:
+        self.rows_extended((row,), ())
 
     def row_evicted(self, row: Tuple[Any, ...]) -> None:
         if not self.healthy:

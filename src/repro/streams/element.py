@@ -9,7 +9,9 @@ be traced.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, ItemsView, Iterator, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.exceptions import SchemaError
 from repro.streams.schema import TIMED_FIELD, StreamSchema
@@ -36,10 +38,11 @@ class StreamElement:
                  producer: str = "", trace_id: Optional[str] = None) -> None:
         if timed is not None and timed < 0:
             raise SchemaError("timestamps cannot be negative")
-        self._values: Dict[str, Any] = {
-            key.lower(): value for key, value in values.items()
-            if key.lower() != TIMED_FIELD
-        }
+        # Normalised once, here; never mutated afterwards, so derived
+        # elements (``with_*``, ``received``) share this dict.
+        lowered = {key.lower(): value for key, value in values.items()}
+        lowered.pop(TIMED_FIELD, None)
+        self._values: Dict[str, Any] = lowered
         self._timed = timed
         self._arrival_time = arrival_time
         self._producer = producer
@@ -102,34 +105,55 @@ class StreamElement:
     def __len__(self) -> int:
         return len(self._values)
 
+    def items(self) -> ItemsView[str, Any]:
+        """A read-only view of the payload's ``(name, value)`` pairs."""
+        return self._values.items()
+
     # -- derivation --------------------------------------------------------
+
+    def _derive(self, timed: Optional[int], arrival_time: Optional[int],
+                producer: str, trace_id: Optional[str]) -> "StreamElement":
+        """A new element over the *same* payload dict (it is immutable
+        and already normalised) with the four metadata slots replaced."""
+        if timed is not None and timed < 0:
+            raise SchemaError("timestamps cannot be negative")
+        clone = StreamElement.__new__(StreamElement)
+        clone._values = self._values
+        clone._timed = timed
+        clone._arrival_time = arrival_time
+        clone._producer = producer
+        clone._trace_id = trace_id
+        return clone
 
     def with_timestamp(self, timed: int) -> "StreamElement":
         """A copy stamped with ``timed`` (used for step 1 of the pipeline)."""
-        return StreamElement(self._values, timed=timed,
-                             arrival_time=self._arrival_time,
-                             producer=self._producer,
-                             trace_id=self._trace_id)
+        return self._derive(timed, self._arrival_time, self._producer,
+                            self._trace_id)
 
     def with_arrival(self, arrival_time: int) -> "StreamElement":
         """A copy carrying the container reception time."""
-        return StreamElement(self._values, timed=self._timed,
-                             arrival_time=arrival_time,
-                             producer=self._producer,
-                             trace_id=self._trace_id)
+        return self._derive(self._timed, arrival_time, self._producer,
+                            self._trace_id)
 
     def with_producer(self, producer: str) -> "StreamElement":
-        return StreamElement(self._values, timed=self._timed,
-                             arrival_time=self._arrival_time,
-                             producer=producer,
-                             trace_id=self._trace_id)
+        return self._derive(self._timed, self._arrival_time, producer,
+                            self._trace_id)
 
     def with_trace(self, trace_id: Optional[str]) -> "StreamElement":
         """A copy stamped with a pipeline-trace id."""
-        return StreamElement(self._values, timed=self._timed,
-                             arrival_time=self._arrival_time,
-                             producer=self._producer,
-                             trace_id=trace_id)
+        return self._derive(self._timed, self._arrival_time,
+                            self._producer, trace_id)
+
+    def received(self, now: int,
+                 trace_id: Optional[str] = None) -> "StreamElement":
+        """The element as the container admits it (pipeline step 1), in
+        one derivation: ``now`` is the reception time and, unless the
+        producer stamped the element, its timestamp; ``trace_id`` applies
+        unless an upstream hop already chose one."""
+        return self._derive(
+            now if self._timed is None else self._timed, now,
+            self._producer,
+            trace_id if self._trace_id is None else self._trace_id)
 
     def with_values(self, **updates: Any) -> "StreamElement":
         """A copy with some payload fields replaced."""
@@ -141,6 +165,12 @@ class StreamElement:
                              trace_id=self._trace_id)
 
     # -- conversion --------------------------------------------------------
+
+    def as_tuple(self, fields: Sequence[str]) -> Tuple[Any, ...]:
+        """The positional row ``(*fields, timed)`` the window relations
+        hold; ``fields`` are schema names, already lower-case (``timed``
+        is reserved, so none of them is the timestamp)."""
+        return (*map(self._values.get, fields), self._timed)
 
     def as_row(self, schema: Optional[StreamSchema] = None) -> Dict[str, Any]:
         """Flatten to a relational row including the ``timed`` column.

@@ -8,12 +8,21 @@ updates in place on append/expire, so pipeline step 2 ("select each
 source's window contents and unnest them into flat relations") becomes a
 zero-copy view of state that already exists.
 
-Windows publish three events (:class:`WindowObserver`): one element
-appended at the right edge, one element evicted from the oldest edge, or
-a bulk reset (clear, or a time window repairing itself after out-of-order
-arrivals). :class:`WindowRelation` translates those into row-level deltas
-and forwards them to row listeners — the incremental-aggregate
-accumulators of :mod:`repro.sqlengine.incremental`.
+Windows publish three events (:class:`WindowObserver`): a batch of
+elements admitted at the right edge together with the elements that
+admission pushed out of the oldest edge, one element expired from the
+oldest edge, or a bulk reset (clear, or a time window repairing itself
+after out-of-order arrivals). :class:`WindowRelation` translates those
+into row-level deltas and forwards them to row listeners — the
+incremental-aggregate accumulators of :mod:`repro.sqlengine.incremental`.
+
+Order inside a batch (``extended(appended, evicted)``, on both
+protocols): a window evicts only once it is full, and from then on every
+admission is preceded by exactly one eviction. So the window applied the
+first ``len(appended) - len(evicted)`` appends on their own and then
+``evicted[j]`` just before the append paired with it. :func:`in_window_order`
+replays a batch in that order; a consumer that folds floats must follow
+it to land on the same bits as per-element delivery.
 
 Thread-safety: a ``WindowRelation`` has no lock of its own; it is always
 mutated from inside its window's notification calls, which the owning
@@ -24,10 +33,23 @@ per-source lock.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.sqlengine.relation import Relation
 from repro.streams.element import StreamElement
+
+
+_T = TypeVar("_T")
+
+
+def in_window_order(appended: Sequence[_T], evicted: Sequence[_T]
+                    ) -> Iterator[Tuple[Optional[_T], _T]]:
+    """One admitted batch as ``(evicted or None, appended)`` steps, in
+    the order the window applied them (see the module docstring)."""
+    lead = len(appended) - len(evicted)
+    for new in appended[:lead]:
+        yield None, new
+    yield from zip(evicted, appended[lead:])
 
 
 class WindowObserver:
@@ -36,7 +58,20 @@ class WindowObserver:
     Windows guarantee that between resets, evictions happen strictly in
     FIFO order (the evicted element is always the oldest retained one),
     which is what lets observers mirror the window with a ring buffer.
+    Windows call :meth:`window_extended`, :meth:`window_evicted` and
+    :meth:`window_reset`; an observer that only cares about single
+    elements implements :meth:`window_appended` and inherits the replay.
     """
+
+    def window_extended(self, appended: Sequence[StreamElement],
+                        evicted: Sequence[StreamElement]) -> None:
+        """``appended`` entered at the right edge, pushing ``evicted``
+        out of the oldest edge. The default replays the batch element
+        by element in window order."""
+        for old, new in in_window_order(appended, evicted):
+            if old is not None:
+                self.window_evicted(old)
+            self.window_appended(new)
 
     def window_appended(self, element: StreamElement) -> None:
         """``element`` entered at the window's right (newest) edge."""
@@ -50,6 +85,16 @@ class WindowObserver:
 
 class RowListener:
     """Row-level delta consumer fed by a :class:`WindowRelation`."""
+
+    def rows_extended(self, appended: Sequence[Tuple[Any, ...]],
+                      evicted: Sequence[Tuple[Any, ...]]) -> None:
+        """``appended`` joined the relation, pushing ``evicted`` (the
+        oldest rows) out. The default replays row by row in window
+        order."""
+        for old, new in in_window_order(appended, evicted):
+            if old is not None:
+                self.row_evicted(old)
+            self.row_appended(new)
 
     def row_appended(self, row: Tuple[Any, ...]) -> None:
         """``row`` was appended to the materialized relation."""
@@ -97,16 +142,21 @@ class WindowRelation(Relation, WindowObserver):
 
     # -- WindowObserver protocol -------------------------------------------
 
-    def _flatten(self, element: StreamElement) -> Tuple[Any, ...]:
-        return tuple(
-            element.get(field) for field in self.field_names
-        ) + (element.timed,)
+    def window_extended(self, appended: Sequence[StreamElement],
+                        evicted: Sequence[StreamElement]) -> None:
+        fields = self.field_names
+        rows = self.rows
+        new_rows = [element.as_tuple(fields) for element in appended]
+        rows.extend(new_rows)
+        # The evicted rows are the head of (rows + batch), like the
+        # window's own overflow.
+        old_rows = [rows.popleft()  # type: ignore[attr-defined]
+                    for __ in evicted]
+        for listener in self.listeners:
+            listener.rows_extended(new_rows, old_rows)
 
     def window_appended(self, element: StreamElement) -> None:
-        row = self._flatten(element)
-        self.rows.append(row)
-        for listener in self.listeners:
-            listener.row_appended(row)
+        self.window_extended((element,), ())
 
     def window_evicted(self, element: StreamElement) -> None:
         if not self.rows:
@@ -116,8 +166,9 @@ class WindowRelation(Relation, WindowObserver):
             listener.row_evicted(row)
 
     def window_reset(self, retained: Sequence[StreamElement]) -> None:
+        fields = self.field_names
         self.rows = deque(  # type: ignore[assignment]
-            self._flatten(element) for element in retained
+            element.as_tuple(fields) for element in retained
         )
         for listener in self.listeners:
             listener.rows_reset(self.rows)

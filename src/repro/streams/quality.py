@@ -74,7 +74,7 @@ class StreamQualityMonitor:
         report = self._report
         report.elements_seen += 1
 
-        for name, value in element.values.items():
+        for name, value in element.items():
             if value is None:
                 report.missing_value_count += 1
                 report.missing_by_field[name] = (

@@ -5,18 +5,19 @@ count- or time-based windows on data streams". Windows maintain the set of
 stream elements visible to the per-source query of pipeline step 2.
 
 Windows broadcast element-level deltas to
-:class:`~repro.streams.materialized.WindowObserver`\\ s (append, FIFO
-eviction, bulk reset) and carry a monotonically increasing ``version``
-that bumps on every content change — the dirty-tracking signal the
-incremental pipeline uses to skip re-executing per-source queries for
-windows that did not move.
+:class:`~repro.streams.materialized.WindowObserver`\\ s (an admitted
+batch with the evictions it caused, FIFO eviction on expiry, bulk
+reset) and carry a monotonically increasing ``version`` that bumps on
+every content change — the dirty-tracking signal the incremental
+pipeline uses to skip re-executing per-source queries for windows that
+did not move.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Sequence
 
 from repro.exceptions import WindowError
 from repro.gsntime.duration import parse_window_spec
@@ -27,9 +28,10 @@ from repro.streams.materialized import WindowObserver
 class SlidingWindow(abc.ABC):
     """Common interface for stream windows.
 
-    Elements enter via :meth:`append`; :meth:`contents` returns the elements
-    currently inside the window, oldest first. Time windows need the query
-    time to expire elements, so ``contents`` takes ``now``.
+    Elements enter via :meth:`extend` (:meth:`append` is a batch of
+    one); :meth:`contents` returns the elements currently inside the
+    window, oldest first. Time windows need the query time to expire
+    elements, so ``contents`` takes ``now``.
     """
 
     def __init__(self) -> None:
@@ -40,8 +42,16 @@ class SlidingWindow(abc.ABC):
         self._observers: List[WindowObserver] = []
 
     @abc.abstractmethod
+    def extend(self, elements: Sequence[StreamElement]) -> None:
+        """Admit a batch of elements, oldest first, leaving exactly the
+        state repeated :meth:`append` would: same contents, same
+        ``version``, observers told once. Every element must already
+        carry a timestamp; if one does not, :class:`WindowError` is
+        raised before anything changes."""
+
     def append(self, element: StreamElement) -> None:
         """Admit a new element (must already carry a timestamp)."""
+        self.extend((element,))
 
     @abc.abstractmethod
     def contents(self, now: Optional[int] = None) -> List[StreamElement]:
@@ -90,10 +100,11 @@ class SlidingWindow(abc.ABC):
     # own mutation. Observers are internal, non-blocking, and never
     # take locks of their own (see docs/concurrency.md).
 
-    def _notify_append(self, element: StreamElement) -> None:
-        self.version += 1
+    def _notify_extend(self, appended: Sequence[StreamElement],
+                       evicted: Sequence[StreamElement]) -> None:
+        self.version += len(appended) + len(evicted)
         for observer in self._observers:
-            observer.window_appended(element)  # gsn-lint: disable=GSN503
+            observer.window_extended(appended, evicted)  # gsn-lint: disable=GSN503
 
     def _notify_evict(self, element: StreamElement) -> None:
         self.version += 1
@@ -116,14 +127,15 @@ class CountWindow(SlidingWindow):
         self.size = size
         self._elements: Deque[StreamElement] = deque()
 
-    def append(self, element: StreamElement) -> None:
-        if element.timed is None:
-            raise WindowError("cannot window an unstamped element")
-        if len(self._elements) >= self.size:
-            evicted = self._elements.popleft()
-            self._notify_evict(evicted)
-        self._elements.append(element)
-        self._notify_append(element)
+    def extend(self, elements: Sequence[StreamElement]) -> None:
+        _require_stamped(elements)
+        held = self._elements
+        held.extend(elements)
+        # The overflow is the head of (held + batch): what per-element
+        # admission would have evicted, in the order it would have — a
+        # batch longer than the window evicts its own head.
+        evicted = [held.popleft() for __ in range(len(held) - self.size)]
+        self._notify_extend(elements, evicted)
 
     def contents(self, now: Optional[int] = None) -> List[StreamElement]:
         return list(self._elements)
@@ -160,15 +172,18 @@ class TimeWindow(SlidingWindow):
         self._latest_seen: int = -1
         self._monotonic = True  # False once an out-of-order element arrives
 
-    def append(self, element: StreamElement) -> None:
-        if element.timed is None:
-            raise WindowError("cannot window an unstamped element")
-        if self._elements and element.timed < self._elements[-1].timed:
-            self._monotonic = False
-        self._elements.append(element)
-        if element.timed > self._latest_seen:
-            self._latest_seen = element.timed
-        self._notify_append(element)
+    def extend(self, elements: Sequence[StreamElement]) -> None:
+        _require_stamped(elements)
+        held = self._elements
+        for element in elements:
+            timed = element.timed
+            if held and timed < held[-1].timed:
+                self._monotonic = False
+            held.append(element)
+            if timed > self._latest_seen:
+                self._latest_seen = timed
+        # Expiry is query-time driven (_expire), never on admission.
+        self._notify_extend(elements, ())
 
     def _expire(self, now: int) -> None:
         cutoff = now - self.span_millis
@@ -228,6 +243,12 @@ class TimeWindow(SlidingWindow):
     def __repr__(self) -> str:
         return (f"TimeWindow(span={self.span_millis}ms, "
                 f"held={len(self._elements)})")
+
+
+def _require_stamped(elements: Sequence[StreamElement]) -> None:
+    for element in elements:
+        if element.timed is None:
+            raise WindowError("cannot window an unstamped element")
 
 
 def make_window(spec: str) -> SlidingWindow:

@@ -12,6 +12,7 @@ processing pipeline.
 from __future__ import annotations
 
 import logging
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency import new_lock
@@ -89,47 +90,72 @@ class SourceRuntime:
         self._last_slide_fire: Optional[int] = None
 
     def receive(self, element: StreamElement) -> Optional[StreamElement]:
-        """Run one raw element through the admission stages.
-
-        Returns the admitted (stamped) element, or ``None`` if the element
-        was buffered, sampled out, or dropped.
+        """:meth:`receive_many` on a batch of one: the admitted (stamped)
+        element, or ``None`` if it was buffered, sampled out, or dropped.
         """
+        admitted = self.receive_many((element,))
+        return admitted[0] if admitted else None
+
+    def receive_many(self, elements: Sequence[StreamElement]
+                     ) -> List[StreamElement]:
+        """Run a batch of raw elements through the admission stages.
+
+        The one admission routine. Per batch: one clock reading (every
+        element gets it as ``arrival_time`` and, unless the producer
+        stamped it, as ``timed`` — pipeline step 1), one trace-sampling
+        decision, one ingest span, one lock cycle and one window
+        extension. Per element, as ever: quality monitor, disconnect
+        buffer, sampler. Returns the admitted (stamped) elements in
+        order; the window, the monitors and the sampler end up exactly
+        where element-by-element delivery would leave them.
+        """
+        if not elements:
+            return []
         now = self.clock.now()
         tracer = self.tracer
-        span: Optional[Span] = None
-        if tracer is not None and tracer.enabled:
-            # Sampling decision: an inbound trace id (remote hop) is
-            # always honored; fresh elements draw against the rate.
-            trace_id = element.trace_id
-            if trace_id is None and tracer.sample():
-                trace_id = new_trace_id()
-                element = element.with_trace(trace_id)
+        traced = tracer is not None and tracer.enabled
+        fresh_id: Optional[str] = None
+        if traced:
+            started = perf_counter()
+            # An inbound trace id (remote hop) is always honored; the
+            # elements without one share the batch's single draw.
+            if any(element.trace_id is None for element in elements) \
+                    and tracer.sample():  # type: ignore[union-attr]
+                fresh_id = new_trace_id()
+        observe = self.quality.observe
+        offer = self.buffer.offer
+        connected = []
+        for element in elements:
+            element = element.received(now, fresh_id)
+            observe(element)
+            if offer(element):
+                connected.append(element)
+        admitted = self._into_window(connected)
+        if traced:
+            # The span answers for the element that will trigger (the
+            # last admitted one), so the pipeline can adopt it by id.
+            trace_id = (admitted[-1] if admitted else element).trace_id
             if trace_id is not None:
-                span = tracer.ingest_span(
+                span = tracer.ingest_span(  # type: ignore[union-attr]
                     trace_id, now, source=self.spec.alias,
-                    wrapper=self.spec.address.wrapper)
-        element = element.with_arrival(now)
-        if element.timed is None:
-            # Pipeline step 1: stamp with the container's local clock.
-            element = element.with_timestamp(now)
-        self.quality.observe(element)
-        if not self.buffer.offer(element):
-            admitted: Optional[StreamElement] = None
-        else:
-            admitted = self._admit(element)
-        if span is not None:
-            span.attributes["admitted"] = admitted is not None
-            tracer.record_ingest(span)  # type: ignore[union-attr]
-            self.last_ingest_span = span
+                    wrapper=self.spec.address.wrapper,
+                    tuples=len(elements), admitted=len(admitted))
+                span.close((perf_counter() - started) * 1_000.0)
+                tracer.record_ingest(span)  # type: ignore[union-attr]
+                self.last_ingest_span = span
         return admitted
 
-    def _admit(self, element: StreamElement) -> Optional[StreamElement]:
-        if not self.sampler.admit(element):
-            return None
-        with self._lock:
-            self.window.append(element)
-        self.elements_admitted += 1
-        return element
+    def _into_window(self, elements: Sequence[StreamElement]
+                     ) -> List[StreamElement]:
+        """The tail of admission, shared with :meth:`reconnect`'s
+        replay: sample, then extend the window under one lock cycle."""
+        admit = self.sampler.admit
+        admitted = [element for element in elements if admit(element)]
+        if admitted:
+            with self._lock:
+                self.window.extend(admitted)
+            self.elements_admitted += len(admitted)
+        return admitted
 
     @property
     def version(self) -> int:
@@ -170,12 +196,7 @@ class SourceRuntime:
         Returns the elements that were admitted on replay (callers may
         re-trigger processing for them).
         """
-        admitted = []
-        for element in self.buffer.reconnect():
-            result = self._admit(element)
-            if result is not None:
-                admitted.append(result)
-        return admitted
+        return self._into_window(self.buffer.reconnect())
 
     def window_relation(self, now: Optional[int] = None) -> Relation:
         """Window contents unnested into a flat relation (step 2).
@@ -359,13 +380,14 @@ class InputStreamManager:
 
         The per-element path (:meth:`_listener`) evaluates the query on
         every slide-allowed admission; this path amortizes that cost:
-        every element goes through the same quality/buffer/sampling/
-        window stages, but the trigger fires once with the *last*
-        slide-allowed element — after which the window holds exactly
-        what per-tuple delivery would have left, so the final evaluation
-        sees identical state.  Returns the number of admitted elements
-        (what survived sampling/quality, not what triggered).  This is
-        the hand-off target of the async ingestion gateway.
+        the batch goes through the same admission routine
+        (:meth:`SourceRuntime.receive_many`) in one pass, and the
+        trigger fires once with the *last* slide-allowed element —
+        after which the window holds exactly what per-tuple delivery
+        would have left, so the final evaluation sees identical state.
+        Returns the number of admitted elements (what survived
+        sampling/quality, not what triggered).  This is the hand-off
+        target of the async ingestion gateway.
         """
         if not self._enabled:
             return 0
@@ -377,25 +399,21 @@ class InputStreamManager:
             return 0
         runtime = stream.source(alias)
         last: Optional[StreamElement] = None
-        admitted = 0
-        for element in elements:
-            result = runtime.receive(element)
-            if result is None:
-                continue
-            admitted += 1
-            if runtime.slide_allows(result):
-                last = result
+        admitted = runtime.receive_many(elements)
+        for element in admitted:
+            if runtime.slide_allows(element):
+                last = element
         if last is None:
-            return admitted
+            return len(admitted)
         if stream.rate_bounder is not None \
                 and not stream.rate_bounder.admit(last):
             stream.triggers_bounded += 1
-            return admitted
+            return len(admitted)
         stream.triggers += 1
         with self._lock:
             self.last_source = runtime
         self._trigger(stream_name, last)
-        return admitted
+        return len(admitted)
 
     def pause(self) -> None:
         """Stop triggering (elements are still observed by wrappers but

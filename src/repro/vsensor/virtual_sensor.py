@@ -222,14 +222,13 @@ class VirtualSensor:
         :meth:`InputStreamManager.ingest_batch` for the equivalence
         argument.  Returns the number of admitted elements.
         """
-        elements: List[StreamElement] = []
-        for value in values:
-            if isinstance(value, StreamElement):
-                elements.append(value)
-            else:
-                payload = dict(value)
-                timed = payload.pop("timed", None)
-                elements.append(StreamElement(payload, timed=timed))
+        # One payload dict per tuple: the element's constructor is the
+        # only copy (it normalises the keys and drops ``timed``).
+        elements = [
+            value if isinstance(value, StreamElement)
+            else StreamElement(value, timed=value.get("timed"))
+            for value in values
+        ]
         return self.ism.ingest_batch(stream_name, alias, elements)
 
     def _unique_wrappers(self) -> List[Wrapper]:

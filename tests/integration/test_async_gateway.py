@@ -1,7 +1,9 @@
 """Integration tests for the asyncio batched-ingestion gateway."""
 
 import gc
+import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -155,6 +157,121 @@ class TestShedPolicy:
         assert gateway.status()["shed_batches"] > 0
 
 
+class TestHandOff:
+    """When a batch leaves the loop: full, drain idle, or timer."""
+
+    #: Far longer than any wait below: a flush that happens was not the
+    #: timer's doing.
+    LATENCY_MS = 30_000.0
+
+    @pytest.fixture
+    def blocked(self, deployed, monkeypatch):
+        """A gateway whose sensor parks every delivery on an event."""
+        release = threading.Event()
+        delivered = []
+
+        def ingest_batch(stream, alias, items):
+            delivered.append([item["temperature"] for item in items])
+            release.wait(10)
+            return len(items)
+
+        monkeypatch.setattr(deployed.sensor("probe"), "ingest_batch",
+                            ingest_batch)
+        with AsyncIngestGateway(deployed, max_batch=4,
+                                max_latency_ms=self.LATENCY_MS) as gateway:
+            try:
+                yield gateway, release, delivered
+            finally:
+                release.set()
+
+    @staticmethod
+    def pending_flush_timers(gateway):
+        """Live ``_flush`` timers on the gateway's loop (read on the
+        loop itself, where the schedule is safe to walk)."""
+        done = threading.Event()
+        found = []
+
+        def collect():
+            found.extend(
+                handle for handle in gateway._loop._scheduled
+                if not handle.cancelled()
+                and getattr(handle._callback, "__name__", "") == "_flush")
+            done.set()
+
+        gateway._loop.call_soon_threadsafe(collect)
+        assert done.wait(5)
+        return found
+
+    def send(self, gateway, *values):
+        status, __ = post(gateway.url + "/ingest/probe/in/src",
+                          [{"temperature": value} for value in values])
+        assert status == 202
+
+    def test_idle_drain_takes_a_partial_batch_at_once(self, blocked):
+        gateway, release, delivered = blocked
+        self.send(gateway, 1)
+        wait_until(lambda: delivered == [[1]], timeout=2.0,
+                   message="the idle hand-off")
+        assert self.pending_flush_timers(gateway) == []
+
+    def test_busy_drain_accumulates_until_it_pokes(self, blocked):
+        gateway, release, delivered = blocked
+        self.send(gateway, 1)
+        wait_until(lambda: delivered == [[1]], message="first delivery")
+        # The drain is parked inside the sensor: these two wait, in one
+        # batch, behind one timer.
+        self.send(gateway, 2)
+        self.send(gateway, 3)
+        report = gateway.status()
+        assert report["pending_batches"] == 1
+        assert report["handoff_depth"] == 0
+        assert delivered == [[1]]
+        assert len(self.pending_flush_timers(gateway)) == 1
+        release.set()
+        # ... and leave together the moment the drain frees up.
+        wait_until(lambda: delivered == [[1], [2, 3]], timeout=2.0,
+                   message="the poke flush")
+        wait_until(lambda: gateway.status()["batches_delivered"] == 2,
+                   message="second delivery")
+        assert self.pending_flush_timers(gateway) == []
+        assert gateway.status()["pending_batches"] == 0
+
+    def test_full_flush_cancels_the_timer(self, blocked):
+        gateway, release, delivered = blocked
+        self.send(gateway, 1)
+        wait_until(lambda: delivered == [[1]], message="first delivery")
+        self.send(gateway, 2, 3)            # partial: arms the timer
+        assert len(self.pending_flush_timers(gateway)) == 1
+        self.send(gateway, 4, 5)            # full: queued behind the drain
+        assert gateway.status()["handoff_depth"] == 1
+        # A stale timer would fire into the next partial batch early.
+        assert self.pending_flush_timers(gateway) == []
+        self.send(gateway, 6)
+        assert len(self.pending_flush_timers(gateway)) == 1
+        release.set()
+        wait_until(lambda: delivered == [[1], [2, 3, 4, 5], [6]],
+                   timeout=2.0, message="queued then poked batches")
+
+    def test_timer_still_bounds_the_wait_under_a_busy_drain(
+            self, deployed, monkeypatch):
+        release = threading.Event()
+        monkeypatch.setattr(deployed.sensor("probe"), "ingest_batch",
+                            lambda *args: release.wait(10) and 0)
+        with AsyncIngestGateway(deployed, max_batch=4,
+                                max_latency_ms=20.0) as gateway:
+            self.send(gateway, 1)
+            wait_until(lambda: gateway.status()["batches_flushed"] == 1,
+                       message="idle hand-off")
+            try:
+                self.send(gateway, 2)
+                # Drain still parked; only the timer can move this batch.
+                wait_until(lambda: gateway.status()["handoff_depth"] == 1,
+                           timeout=2.0, message="the timer flush")
+                assert gateway.status()["pending_batches"] == 0
+            finally:
+                release.set()
+
+
 class TestLifecycleAndObservability:
     def test_health_check_registration(self, deployed):
         gateway = AsyncIngestGateway(deployed)
@@ -212,6 +329,32 @@ class TestLifecycleAndObservability:
             assert client.recv(65536) == b""  # closed by the gateway
         assert [record.getMessage() for record in caplog.records
                 if "Task was destroyed" in record.getMessage()] == []
+
+    def test_stop_with_a_connected_client_logs_nothing(self, deployed,
+                                                       caplog):
+        # The handler must leave through EOF: a *cancelled* handler
+        # task makes Python 3.11's stream protocol log "Exception in
+        # callback ... CancelledError" from its done-callback.
+        gateway = AsyncIngestGateway(deployed).start()
+        loop_thread = next(thread for thread in threading.enumerate()
+                           if thread.name == "gsn-ingest-loop")
+        host, port = gateway.address
+        client = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            client.request("GET", "/status")
+            assert client.getresponse().read()
+            with caplog.at_level("DEBUG", logger="asyncio"):
+                started = time.monotonic()
+                gateway.stop()
+                gc.collect()
+            assert not loop_thread.is_alive()
+            assert time.monotonic() - started < 5.0  # inside stop()'s join
+        finally:
+            client.close()
+        assert [(record.levelname, record.getMessage())
+                for record in caplog.records
+                if record.name == "asyncio"
+                and record.levelno >= logging.WARNING] == []
 
     def test_status_reports_serving_flag(self, deployed):
         gateway = AsyncIngestGateway(deployed)
