@@ -29,7 +29,11 @@ Run after ``pytest benchmarks/test_micro.py`` has written
   its 5x throughput floor over per-tuple delivery, a batch-admission
   cell costs more microseconds per tuple than its ceiling in
   ``baseline.json``, or the event-loop lag witness costs more than 2%
-  of loop wall time.
+  of loop wall time,
+- a design count of the source tree (``design_metrics.py``: lines per
+  package, ``exec`` sites, lint suppressions, ``GSN_*`` names,
+  ``incremental`` parameters) exceeds the one recorded in
+  ``BENCH_design.json``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import json
 import os
 import sys
 from typing import List
+
+from design_metrics import DESIGN_PATH, counts, measure
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REGRESSION_FACTOR = 0.8  # >20% slowdown vs the recorded baseline fails
@@ -188,6 +194,22 @@ def check(metrics: dict, baseline: dict) -> List[str]:
     return failures
 
 
+def check_design(current: dict, recorded: dict) -> List[str]:
+    """A count may only fall, or rise together with a re-record."""
+    limits = dict(counts(recorded))
+    failures: List[str] = []
+    for name, count in counts(current):
+        limit = limits.get(name, 0)
+        if count != limit:
+            print(f"design {name}: {count} (recorded {limit})")
+        if count > limit:
+            failures.append(
+                f"design count {name} rose to {count} (recorded {limit}); "
+                "re-record with benchmarks/design_metrics.py and say why "
+                "in CHANGES.md")
+    return failures
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCH_micro.json")) as handle:
         metrics = json.load(handle)
@@ -198,6 +220,8 @@ def main() -> int:
     with open(os.path.join(ROOT, "benchmarks", "baseline.json")) as handle:
         baseline = json.load(handle)
     failures = check(metrics, baseline)
+    with open(DESIGN_PATH) as handle:
+        failures += check_design(measure(), json.load(handle))
     if failures:
         print("\nFAIL:", file=sys.stderr)
         for failure in failures:

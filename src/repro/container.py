@@ -77,11 +77,10 @@ class GSNContainer:
     synchronous:
         Run pipelines inline (deterministic) instead of on pool threads.
     incremental:
-        Container-wide escape hatch for the incremental pipeline
-        (delta-maintained window relations, temporary caching and
-        incremental aggregates). ``False`` forces the legacy per-trigger
-        rebuild for every sensor; individual descriptors can also opt
-        out via ``<storage incremental="false">``.
+        ``False`` attaches no running accumulators or delta joins to
+        any sensor, so every query folds the whole window on each
+        trigger; individual descriptors can also opt out via
+        ``<storage incremental="false">``.
     trace_capacity:
         Size of the ring buffer of recent pipeline span trees served at
         ``/trace`` (per-sensor sampling comes from the descriptor's

@@ -43,9 +43,9 @@ class StorageConfig:
     window spec (``"10s"`` time-based, ``"10"`` count-based, ``None``
     unbounded).
 
-    ``incremental`` is the per-sensor escape hatch for the incremental
-    pipeline: ``incremental="false"`` forces the legacy per-trigger
-    window rebuild and generic query execution for this sensor.
+    ``incremental="false"`` attaches no running accumulators or joins
+    to this sensor: every query folds the whole window on each trigger
+    (compiled), which keeps float aggregates exact.
     """
 
     permanent: bool = False

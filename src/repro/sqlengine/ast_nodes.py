@@ -212,6 +212,12 @@ AGGREGATE_FUNCTIONS = frozenset({"avg", "sum", "min", "max", "count",
                                  "median", "first", "last"})
 
 
+def has_subquery(node: Node) -> bool:
+    """True if the expression tree embeds a subquery (which only the
+    interpreter evaluates)."""
+    return any(isinstance(child, SelectStatement) for child in node.walk())
+
+
 def contains_aggregate(node: Node) -> bool:
     """True if the expression tree calls an aggregate function (without
     descending into subqueries, which aggregate in their own scope)."""

@@ -283,18 +283,6 @@ def _cast(value: Any, target: str) -> Any:
 # --------------------------------------------------------------------------
 
 
-def _compiled(holder: Any, attr: str, node: Node):
-    """Compile ``node`` once and cache the closure on ``holder`` (a plan
-    object that outlives executions via the plan caches)."""
-    from repro.sqlengine.compiler import compile_expression
-
-    fn = getattr(holder, attr, None)
-    if fn is None:
-        fn = compile_expression(node)
-        setattr(holder, attr, fn)
-    return fn
-
-
 class _Executor:
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
@@ -337,18 +325,15 @@ class _Executor:
                 envs = [outer.child(frame) for frame in frames]
 
         if plan.where is not None:
-            predicate = _compiled(plan, "_c_where", plan.where)
-            envs = [env for env in envs
-                    if _truthy(predicate(self, env))]
+            where = plan.where
+            envs = [env for env in envs if _truthy(self.eval(where, env))]
 
         columns = self._output_columns(plan.items, template)
 
         if plan.is_aggregate:
             rows, contexts = self._project_groups(plan, envs, template, columns)
         else:
-            compiled_items = self._compiled_items(plan)
-            rows = [self._project_row(plan.items, compiled_items, env,
-                                      template)
+            rows = [self._project_row(plan.items, env, template)
                     for env in envs]
             contexts = list(envs)
 
@@ -393,8 +378,7 @@ class _Executor:
         template = {**left_template, **right_template}
         null_right = _null_frame(right_template)
 
-        condition = (None if plan.condition is None
-                     else _compiled(plan, "_c_condition", plan.condition))
+        condition = plan.condition
         results: List[Frame] = []
         for left_frame in left_frames:
             matched = False
@@ -403,7 +387,7 @@ class _Executor:
                 if condition is not None:
                     env = (Env.root(merged) if outer is None
                            else outer.child(merged))
-                    if not _truthy(condition(self, env)):
+                    if not _truthy(self.eval(condition, env)):
                         continue
                 matched = True
                 results.append(merged)
@@ -417,25 +401,13 @@ class _Executor:
         right_frames, right_template = self._execute_source(plan.right, outer)
         template = {**left_template, **right_template}
         null_right = _null_frame(right_template)
-
-        from repro.sqlengine.compiler import compile_expression
-
-        left_keys = getattr(plan, "_c_left_keys", None)
-        if left_keys is None:
-            left_keys = [compile_expression(k) for k in plan.left_keys]
-            plan._c_left_keys = left_keys  # type: ignore[attr-defined]
-        right_keys = getattr(plan, "_c_right_keys", None)
-        if right_keys is None:
-            right_keys = [compile_expression(k) for k in plan.right_keys]
-            plan._c_right_keys = right_keys  # type: ignore[attr-defined]
-        residual = (None if plan.residual is None
-                    else _compiled(plan, "_c_residual", plan.residual))
+        residual = plan.residual
 
         table: Dict[Tuple[Any, ...], List[Frame]] = {}
         for right_frame in right_frames:
             env = (Env.root(right_frame) if outer is None
                    else outer.child(right_frame))
-            key = tuple(_hashable(k(self, env)) for k in right_keys)
+            key = tuple(_hashable(self.eval(k, env)) for k in plan.right_keys)
             if any(part is None for part in key):
                 continue  # NULL keys never join
             table.setdefault(key, []).append(right_frame)
@@ -444,7 +416,7 @@ class _Executor:
         for left_frame in left_frames:
             env = (Env.root(left_frame) if outer is None
                    else outer.child(left_frame))
-            key = tuple(_hashable(k(self, env)) for k in left_keys)
+            key = tuple(_hashable(self.eval(k, env)) for k in plan.left_keys)
             matches: Iterable[Frame] = ()
             if not any(part is None for part in key):
                 matches = table.get(key, ())
@@ -454,7 +426,7 @@ class _Executor:
                 if residual is not None:
                     merged_env = (Env.root(merged) if outer is None
                                   else outer.child(merged))
-                    if not _truthy(residual(self, merged_env)):
+                    if not _truthy(self.eval(residual, merged_env)):
                         continue
                 matched = True
                 results.append(merged)
@@ -485,27 +457,13 @@ class _Executor:
                 names.append(_expression_name(expr))
         return _dedupe(names)
 
-    def _compiled_items(self, plan: SelectPlan):
-        """Per-plan cache of compiled select items (None for stars)."""
-        from repro.sqlengine.compiler import compile_expression
-
-        cached = getattr(plan, "_c_items", None)
-        if cached is None:
-            cached = [
-                None if isinstance(item.expression, Star)
-                else compile_expression(item.expression)
-                for item in plan.items
-            ]
-            plan._c_items = cached  # type: ignore[attr-defined]
-        return cached
-
-    def _project_row(self, items: Sequence[SelectItem], compiled_items,
+    def _project_row(self, items: Sequence[SelectItem],
                      env: Env, template: Template) -> Tuple[Any, ...]:
         values: List[Any] = []
         frame = env.frames[0]
-        for item, compiled_item in zip(items, compiled_items):
-            if compiled_item is None:
-                expr = item.expression
+        for item in items:
+            expr = item.expression
+            if isinstance(expr, Star):
                 bindings = ([expr.table] if expr.table is not None
                             else list(template))
                 for binding in bindings:
@@ -513,24 +471,16 @@ class _Executor:
                     for column in template[binding]:
                         values.append(None if row is None else row.get(column))
             else:
-                values.append(compiled_item(self, env))
+                values.append(self.eval(expr, env))
         return tuple(values)
 
     def _project_groups(self, plan: SelectPlan, envs: List[Env],
                         template: Template, columns: List[str]):
         if plan.group_by:
-            from repro.sqlengine.compiler import compile_expression
-
-            group_keys = getattr(plan, "_c_group", None)
-            if group_keys is None:
-                group_keys = [compile_expression(expr)
-                              for expr in plan.group_by]
-                plan._c_group = group_keys  # type: ignore[attr-defined]
             groups: Dict[Tuple[Any, ...], List[Env]] = {}
             for env in envs:
-                key = tuple(
-                    _hashable(key_fn(self, env)) for key_fn in group_keys
-                )
+                key = tuple(_hashable(self.eval(expr, env))
+                            for expr in plan.group_by)
                 groups.setdefault(key, []).append(env)
             group_list = list(groups.values())
         else:
@@ -691,29 +641,27 @@ class _Executor:
             relation = self.run_statement(node.subquery, env)
             if len(relation.columns) != 1:
                 raise SQLExecutionError("IN subquery must return one column")
-            options = [row[0] for row in relation.rows]
+            options: Iterable[Any] = [row[0] for row in relation.rows]
         else:
-            options = [self.eval(option, env) for option in node.options or ()]
+            # Up to the first match only: a later option may raise.
+            options = (self.eval(option, env)
+                       for option in node.options or ())
         saw_null = False
-        found = False
         for option in options:
             if option is None:
                 saw_null = True
             elif _compare("=", value, option):
-                found = True
-                break
-        if found:
-            return not node.negated
+                return not node.negated
         if saw_null:
             return None
         return node.negated
 
     def _eval_between(self, node: BetweenExpr, env: Env) -> Any:
         value = self.eval(node.operand, env)
-        low = self.eval(node.low, env)
-        high = self.eval(node.high, env)
-        lower_ok = _compare(">=", value, low)
-        upper_ok = _compare("<=", value, high)
+        # The lower comparison runs (and may raise) before the upper
+        # bound is evaluated.
+        lower_ok = _compare(">=", value, self.eval(node.low, env))
+        upper_ok = _compare("<=", value, self.eval(node.high, env))
         # x BETWEEN a AND b  ==  x >= a AND x <= b  under three-valued logic.
         if lower_ok is False or upper_ok is False:
             result = False

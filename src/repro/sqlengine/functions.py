@@ -105,7 +105,7 @@ def call_scalar(name: str, args: Sequence[Any]) -> Any:
     except SQLExecutionError:
         raise
     except Exception as exc:
-        raise SQLExecutionError(f"{name}({args!r}) failed: {exc}") from exc
+        raise SQLExecutionError(f"{name}() failed: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

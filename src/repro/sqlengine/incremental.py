@@ -14,17 +14,19 @@ every trigger:
   extremum is evicted).
 
 :func:`classify` inspects a compiled :class:`SelectPlan` and reports
-which shape (if any) applies; :class:`IncrementalAggregateState` is the
-running accumulator, fed row deltas by a
-:class:`~repro.streams.materialized.WindowRelation`.
+which shape (if any) applies; :class:`IncrementalAggregateState` and
+:class:`GroupedAggregateState` are the running accumulators, fed row
+deltas by a :class:`~repro.streams.materialized.WindowRelation`. A
+WHERE clause is compiled with the pipeline's ``_Emitter``
+(:mod:`repro.sqlengine.physical`) over the window's row layout.
 
 Equivalence contract: for every qualifying query the produced relation is
-row-for-row identical to executing the plan against a freshly rebuilt
-window relation (the property tests assert this). Queries that would
-*fail* under the legacy executor (unknown columns, mixed-type sums, …)
-must keep failing at query time — accumulators therefore never raise out
-of the delta callbacks; they mark themselves unhealthy and the sensor
-falls back to the legacy path, which re-raises the legacy error.
+row-for-row identical to executing the plan against the window relation
+(the property tests assert this). Queries that would *fail* when executed
+(unknown columns, mixed-type sums, …) must keep failing at query time —
+the states therefore never raise out of the delta callbacks; they mark
+themselves unhealthy and the sensor runs the query per trigger, which
+raises the executor's error.
 """
 
 from __future__ import annotations
@@ -33,19 +35,19 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.sqlengine.ast_nodes import (
     ColumnRef, FunctionCall, Node, SelectItem, Star, contains_aggregate,
+    has_subquery,
 )
-from repro.sqlengine.compiler import compile_expression, has_subquery
-from repro.sqlengine.executor import (
-    Catalog, Env, LazyRow, _Executor, _hashable, _truthy,
-)
+from repro.sqlengine.executor import _hashable, _truthy
 from repro.sqlengine.introspect import (
     dedupe_columns, expression_columns, expression_name,
 )
+from repro.sqlengine.physical import Unsupported, _compile_row, _Layout
 from repro.sqlengine.planner import (
     HashJoinPlan, NestedLoopJoinPlan, ScanPlan, SelectPlan,
     SubqueryScanPlan,
@@ -135,7 +137,7 @@ class GroupedAggregateQuery:
     ``keys`` are the GROUP BY column names (plain column references
     only); ``items`` reuse :class:`AggregateItem` with the extra kind
     ``"column"`` for plain column select items, which — matching the
-    legacy executor's ``eval_group`` — read the group's first row.
+    interpreter's ``eval_group`` — read the group's first row.
     """
     binding: str
     keys: Tuple[str, ...]
@@ -151,7 +153,7 @@ class JoinQuery:
 
     Wraps the full :class:`SelectPlan` (whose source is a
     :class:`HashJoinPlan` over two scans); key, residual, WHERE and
-    projection closures are compiled positionally by
+    projection functions are compiled positionally by
     :class:`IncrementalJoinState` once the two window schemas are known.
     """
     plan: SelectPlan
@@ -318,8 +320,7 @@ def classify_join(plan: SelectPlan) -> Optional[JoinQuery]:
     <equi-keys> [WHERE <row-local predicate>]`` — an *inner* hash join
     of two plain scans, no aggregation and no suffix clauses. Matched
     pairs are then index-maintainable under both windows' deltas; every
-    other join shape re-executes through the (compiled or legacy)
-    executor.
+    other join shape re-executes per trigger.
     """
     source = plan.source
     if not isinstance(source, HashJoinPlan) or source.kind != "inner":
@@ -381,35 +382,106 @@ def _classify_item(item: SelectItem, binding: str
 
 
 class _ItemState:
-    """Mutable accumulator for one :class:`AggregateItem`."""
+    """Running accumulator for one ``count``/``sum``/``avg``/``min``/
+    ``max`` item over the rows folded into it."""
 
     __slots__ = ("kind", "position", "nonnull", "total", "extremum", "dirty")
 
     def __init__(self, kind: str, position: Optional[int]) -> None:
         self.kind = kind
         self.position = position          # column position in the relation
+        self.reset()
+
+    def reset(self) -> None:
         self.nonnull = 0                  # non-null inputs currently included
         self.total: Any = 0               # running sum (sum/avg)
         self.extremum: Any = None         # current min/max
         self.dirty = False                # extremum evicted: rescan needed
 
+    def add(self, row: Tuple[Any, ...]) -> None:
+        value = row[self.position]  # type: ignore[index]
+        if value is None:
+            return
+        self.nonnull += 1
+        kind = self.kind
+        if kind == "sum" or kind == "avg":
+            # Always fold into the 0-seeded total: sum() over
+            # non-numeric values must raise exactly like the
+            # interpreter's aggregate does.
+            self.total = self.total + value
+        elif kind != "count" and not self.dirty:
+            if self.nonnull == 1:
+                self.extremum = value
+            elif kind == "min":
+                if value < self.extremum:
+                    self.extremum = value
+            elif value > self.extremum:
+                self.extremum = value
 
-class IncrementalAggregateState(RowListener):
-    """Maintains one qualifying aggregate query under window deltas.
+    def remove(self, row: Tuple[Any, ...]) -> None:
+        value = row[self.position]  # type: ignore[index]
+        if value is None:
+            return
+        self.nonnull -= 1
+        kind = self.kind
+        if kind == "sum" or kind == "avg":
+            self.total = self.total - value if self.nonnull else 0
+        elif self.nonnull == 0:
+            self.extremum = None
+            self.dirty = False
+        elif not self.dirty and value == self.extremum:
+            # The extremum left the window; only a rescan of the
+            # retained rows can find the runner-up.
+            self.dirty = True
 
-    Attached as a listener to the source's :class:`WindowRelation`; all
-    callbacks run inside the owning SourceRuntime's lock, so no locking
-    happens here. If any delta update fails (mixed-type arithmetic, a
-    predicate raising, …) the state poisons itself (``healthy = False``)
-    and stays poisoned: the sensor then routes the query through the
-    legacy executor, which surfaces the same error at query time exactly
-    like the non-incremental pipeline would.
+    def result(self, rows: Callable[[], Iterable[Tuple[Any, ...]]]) -> Any:
+        """The item's value. ``rows()`` yields the rows folded into it;
+        it is read only when an evicted extremum forces a rescan (which
+        may raise the interpreter's mixed-type comparison errors)."""
+        kind = self.kind
+        if kind == "count":
+            return self.nonnull
+        if self.nonnull == 0:
+            return None
+        if kind == "sum":
+            return self.total
+        if kind == "avg":
+            return self.total / self.nonnull
+        if self.dirty:
+            best: Any = None
+            for row in rows():
+                value = row[self.position]  # type: ignore[index]
+                if value is None:
+                    continue
+                if best is None:
+                    best = value
+                elif kind == "min":
+                    if value < best:
+                        best = value
+                elif value > best:
+                    best = value
+            self.extremum = best
+            self.dirty = False
+        return self.extremum
+
+
+class _DeltaState(RowListener):
+    """The accumulator core both aggregate states share: health and
+    poisoning (which the join state borrows), the observability fields,
+    the compiled WHERE and the guarded fold of window deltas in window
+    order.
+
+    Subclasses supply ``_clear``, ``_include`` and ``_exclude`` over
+    rows that pass the WHERE. All callbacks run inside the owning
+    SourceRuntime's lock, so no locking happens here. The first delta
+    that raises (mixed-type arithmetic, a predicate raising, ...)
+    poisons the state (``healthy = False``) for good: the sensor then
+    runs the query per trigger, which raises the same error at query
+    time.
     """
 
-    def __init__(self, spec: AggregateQuery,
-                 relation: WindowRelation,
-                 label: str = "",
-                 on_poison: Optional[Callable[[BaseException], None]] = None
+    def __init__(self, spec: Any, relation: WindowRelation, label: str,
+                 on_poison: Optional[Callable[[BaseException], None]]
                  ) -> None:
         self.spec = spec
         self.relation = relation
@@ -418,21 +490,14 @@ class IncrementalAggregateState(RowListener):
         self._on_poison = on_poison
         self.poison_cause: Optional[BaseException] = None
         self.updates = 0                  # delta applications (observability)
-        self._included = 0                # rows passing WHERE
-        self._binding = spec.binding
         self._index = relation._index
-        # WHERE is compiled once; LIKE needs a live executor for its
-        # pattern cache, hence the private throwaway instance.
-        self._executor = _Executor(Catalog())
-        self._where = (compile_expression(spec.where)
-                       if spec.where is not None else None)
-        self._items = [
-            _ItemState(item.kind,
-                       None if item.column is None
-                       else self._index[item.column])
-            for item in spec.items
-        ]
-        self.rows_reset(list(relation.rows))
+        self._where: Optional[Callable[[Tuple[Any, ...]], Any]] = None
+        if spec.where is not None:
+            # Unsupported propagates to the caller: no attach, and the
+            # query raises (or answers) at query time as without us.
+            layout = _Layout()
+            layout.add(spec.binding, relation.columns)
+            self._where = _compile_row(spec.where, layout, {})
 
     # -- RowListener protocol ----------------------------------------------
 
@@ -476,12 +541,7 @@ class IncrementalAggregateState(RowListener):
         if not self.healthy:
             return
         try:
-            self._included = 0
-            for state in self._items:
-                state.nonnull = 0
-                state.total = 0
-                state.extremum = None
-                state.dirty = False
+            self._clear()
             for row in rows:
                 if self._passes(row):
                     self._include(row)
@@ -490,11 +550,11 @@ class IncrementalAggregateState(RowListener):
             self._poison(exc)
 
     def _poison(self, exc: BaseException) -> None:
-        """Flip to the legacy path, loudly.
+        """Flip to per-trigger execution, loudly.
 
-        The fallback itself is by design (the legacy executor re-raises
-        the real error at query time), but it must be *observable*: the
-        triggering query is logged exactly once per accumulator and the
+        The fallback itself is by design (the executor re-raises the
+        real error at query time), but it must be *observable*: the
+        triggering query is logged exactly once per state and the
         owner's ``fastpath_poisoned_total`` counter is bumped through
         ``on_poison`` — a silently swallowed poisoning reads as "the
         optimization is on" while every query runs the slow path.
@@ -504,8 +564,8 @@ class IncrementalAggregateState(RowListener):
         self.healthy = False
         self.poison_cause = exc
         logger.warning(
-            "incremental accumulator poisoned; falling back to the legacy "
-            "executor for %s (%s: %s)",
+            "incremental state poisoned; falling back to per-trigger "
+            "execution for %s (%s: %s)",
             self.label or "<unlabeled query>", type(exc).__name__, exc,
         )
         if self._on_poison is not None:
@@ -519,99 +579,69 @@ class IncrementalAggregateState(RowListener):
     # -- delta application --------------------------------------------------
 
     def _passes(self, row: Tuple[Any, ...]) -> bool:
-        if self._where is None:
-            return True
-        env = Env.root({self._binding: LazyRow(self._index, row)})
-        return _truthy(self._where(self._executor, env))
+        return self._where is None or _truthy(self._where(row))
+
+    def _clear(self) -> None:
+        raise NotImplementedError
+
+    def _include(self, row: Tuple[Any, ...]) -> None:
+        raise NotImplementedError
+
+    def _exclude(self, row: Tuple[Any, ...]) -> None:
+        raise NotImplementedError
+
+
+class IncrementalAggregateState(_DeltaState):
+    """Maintains one qualifying flat aggregate query under window deltas:
+    a row count plus one :class:`_ItemState` per other item."""
+
+    def __init__(self, spec: AggregateQuery,
+                 relation: WindowRelation,
+                 label: str = "",
+                 on_poison: Optional[Callable[[BaseException], None]] = None
+                 ) -> None:
+        super().__init__(spec, relation, label, on_poison)
+        self._included = 0                # rows passing WHERE
+        self._items = [
+            _ItemState(item.kind,
+                       None if item.column is None
+                       else self._index[item.column])
+            for item in spec.items
+        ]
+        self._folded = [state for state in self._items
+                        if state.kind != "count_star"]
+        self.rows_reset(list(relation.rows))
+
+    def _clear(self) -> None:
+        self._included = 0
+        for state in self._items:
+            state.reset()
 
     def _include(self, row: Tuple[Any, ...]) -> None:
         self._included += 1
-        for state in self._items:
-            if state.kind == "count_star":
-                continue
-            value = row[state.position]
-            if value is None:
-                continue
-            state.nonnull += 1
-            if state.kind in ("sum", "avg"):
-                # Always fold into the 0-seeded total: sum() over
-                # non-numeric values must raise exactly like the legacy
-                # aggregate does.
-                state.total = state.total + value
-            elif not state.dirty:
-                if state.nonnull == 1:
-                    state.extremum = value
-                elif state.kind == "min":
-                    if value < state.extremum:
-                        state.extremum = value
-                elif value > state.extremum:
-                    state.extremum = value
+        for state in self._folded:
+            state.add(row)
 
     def _exclude(self, row: Tuple[Any, ...]) -> None:
         self._included -= 1
-        for state in self._items:
-            if state.kind == "count_star":
-                continue
-            value = row[state.position]
-            if value is None:
-                continue
-            state.nonnull -= 1
-            if state.kind in ("sum", "avg"):
-                state.total = state.total - value if state.nonnull else 0
-            elif state.nonnull == 0:
-                state.extremum = None
-                state.dirty = False
-            elif not state.dirty and value == state.extremum:
-                # The extremum left the window; only a rescan of the
-                # retained rows can find the runner-up.
-                state.dirty = True
+        for state in self._folded:
+            state.remove(row)
 
-    # -- result ------------------------------------------------------------
+    def _passing_rows(self) -> Iterable[Tuple[Any, ...]]:
+        return (row for row in self.relation.rows if self._passes(row))
 
     def snapshot(self) -> Relation:
         """The query's current answer as a single-row relation.
 
-        May raise (a ``min``/``max`` rescan inherits the executor's
+        May raise (a ``min``/``max`` rescan inherits the interpreter's
         mixed-type comparison errors); callers must treat a raising
-        snapshot as poisoning and fall back to the legacy path.
+        snapshot as poisoning and run the query per trigger.
         """
         values: List[Any] = []
         for state in self._items:
-            values.append(self._value_of(state))
+            values.append(self._included if state.kind == "count_star"
+                          else state.result(self._passing_rows))
         return Relation(self.spec.columns, [tuple(values)])
-
-    def _value_of(self, state: _ItemState) -> Any:
-        if state.kind == "count_star":
-            return self._included
-        if state.kind == "count":
-            return state.nonnull
-        if state.nonnull == 0:
-            return None
-        if state.kind == "sum":
-            return state.total
-        if state.kind == "avg":
-            return state.total / state.nonnull
-        if state.dirty:
-            self._rescan(state)
-        return state.extremum
-
-    def _rescan(self, state: _ItemState) -> None:
-        best: Any = None
-        for row in self.relation.rows:
-            if not self._passes(row):
-                continue
-            value = row[state.position]
-            if value is None:
-                continue
-            if best is None:
-                best = value
-            elif state.kind == "min":
-                if value < best:
-                    best = value
-            elif value > best:
-                best = value
-        state.extremum = best
-        state.dirty = False
 
     def __repr__(self) -> str:
         return (f"IncrementalAggregateState({self.spec.columns}, "
@@ -629,26 +659,41 @@ class _GroupState:
     The rows are kept (as references into the window's tuples) because
     three things need them: ``min``/``max`` rescans after an extremum
     eviction, plain-column select items (the group's *first* row, per
-    ``eval_group``), and output ordering — the legacy executor emits
-    groups in first-seen window order, which after evictions is the
-    order of each group's oldest surviving row.
+    ``eval_group``), and output ordering — the interpreter emits groups
+    in first-seen window order, which after evictions is the order of
+    each group's oldest surviving row.
     """
 
-    __slots__ = ("rows", "items")
+    __slots__ = ("rows", "items", "folded")
 
     def __init__(self, items: List[_ItemState]) -> None:
         self.rows: "deque[Tuple[int, Tuple[Any, ...]]]" = deque()
         self.items = items
+        self.folded = [state for state in items
+                       if state.kind not in ("count_star", "column")]
+
+    def covered(self) -> Iterable[Tuple[Any, ...]]:
+        return (row for __, row in self.rows)
+
+    def values(self) -> Tuple[Any, ...]:
+        values: List[Any] = []
+        for state in self.items:
+            if state.kind == "count_star":
+                values.append(len(self.rows))
+            elif state.kind == "column":
+                values.append(
+                    self.rows[0][1][state.position])  # type: ignore[index]
+            else:
+                values.append(state.result(self.covered))
+        return tuple(values)
 
 
-class GroupedAggregateState(RowListener):
+class GroupedAggregateState(_DeltaState):
     """Maintains a qualifying GROUP BY query under window deltas.
 
     One accumulator map keyed on the group-key tuple; appends update the
     row's group in O(1) (plus group creation), evictions retract from it
-    and delete the group when its last row leaves. Equivalence contract
-    and poisoning behaviour are identical to
-    :class:`IncrementalAggregateState`.
+    and delete the group when its last row leaves.
     """
 
     def __init__(self, spec: GroupedAggregateQuery,
@@ -656,18 +701,7 @@ class GroupedAggregateState(RowListener):
                  label: str = "",
                  on_poison: Optional[Callable[[BaseException], None]] = None
                  ) -> None:
-        self.spec = spec
-        self.relation = relation
-        self.healthy = True
-        self.label = label
-        self._on_poison = on_poison
-        self.poison_cause: Optional[BaseException] = None
-        self.updates = 0
-        self._binding = spec.binding
-        self._index = relation._index
-        self._executor = _Executor(Catalog())
-        self._where = (compile_expression(spec.where)
-                       if spec.where is not None else None)
+        super().__init__(spec, relation, label, on_poison)
         self._key_positions = [self._index[key] for key in spec.keys]
         self._item_specs = [
             (item.kind,
@@ -678,73 +712,23 @@ class GroupedAggregateState(RowListener):
         self._seq = 0
         self.rows_reset(list(relation.rows))
 
-    # -- RowListener protocol ----------------------------------------------
-
-    def row_appended(self, row: Tuple[Any, ...]) -> None:
-        if not self.healthy:
-            return
-        try:
-            if self._passes(row):
-                self._include(row)
-            self.updates += 1
-        except Exception as exc:
-            self._poison(exc)
-
-    def row_evicted(self, row: Tuple[Any, ...]) -> None:
-        if not self.healthy:
-            return
-        try:
-            if self._passes(row):
-                self._exclude(row)
-            self.updates += 1
-        except Exception as exc:
-            self._poison(exc)
-
-    def rows_reset(self, rows: Sequence[Tuple[Any, ...]]) -> None:
-        if not self.healthy:
-            return
-        try:
-            self._groups.clear()
-            for row in rows:
-                if self._passes(row):
-                    self._include(row)
-            self.updates += 1
-        except Exception as exc:
-            self._poison(exc)
-
-    _poison = IncrementalAggregateState._poison
-    _passes = IncrementalAggregateState._passes
-
-    # -- delta application --------------------------------------------------
-
     def _key_of(self, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
         return tuple(_hashable(row[pos]) for pos in self._key_positions)
 
+    def _clear(self) -> None:
+        self._groups.clear()
+
     def _include(self, row: Tuple[Any, ...]) -> None:
-        group = self._groups.get(self._key_of(row))
+        key = self._key_of(row)
+        group = self._groups.get(key)
         if group is None:
-            group = _GroupState([_ItemState(kind, position)
-                                 for kind, position in self._item_specs])
-            self._groups[self._key_of(row)] = group
+            group = self._groups[key] = _GroupState(
+                [_ItemState(kind, position)
+                 for kind, position in self._item_specs])
         self._seq += 1
         group.rows.append((self._seq, row))
-        for state in group.items:
-            if state.kind in ("count_star", "column"):
-                continue
-            value = row[state.position]
-            if value is None:
-                continue
-            state.nonnull += 1
-            if state.kind in ("sum", "avg"):
-                state.total = state.total + value
-            elif not state.dirty:
-                if state.nonnull == 1:
-                    state.extremum = value
-                elif state.kind == "min":
-                    if value < state.extremum:
-                        state.extremum = value
-                elif value > state.extremum:
-                    state.extremum = value
+        for state in group.folded:
+            state.add(row)
 
     def _exclude(self, row: Tuple[Any, ...]) -> None:
         key = self._key_of(row)
@@ -755,72 +739,20 @@ class GroupedAggregateState(RowListener):
         if not group.rows:
             del self._groups[key]
             return
-        for state in group.items:
-            if state.kind in ("count_star", "column"):
-                continue
-            value = row[state.position]
-            if value is None:
-                continue
-            state.nonnull -= 1
-            if state.kind in ("sum", "avg"):
-                state.total = state.total - value if state.nonnull else 0
-            elif state.nonnull == 0:
-                state.extremum = None
-                state.dirty = False
-            elif not state.dirty and value == state.extremum:
-                state.dirty = True
-
-    # -- result ------------------------------------------------------------
+        for state in group.folded:
+            state.remove(row)
 
     def snapshot(self) -> Relation:
         """The query's current answer, one row per live group.
 
         Groups are emitted in the order of their oldest surviving row —
-        exactly the legacy executor's first-seen insertion order over
-        the current window contents.
+        exactly the interpreter's first-seen insertion order over the
+        current window contents.
         """
         ordered = sorted(self._groups.values(),
                          key=lambda group: group.rows[0][0])
-        rows = []
-        for group in ordered:
-            values: List[Any] = []
-            for state in group.items:
-                values.append(self._value_of(group, state))
-            rows.append(tuple(values))
-        return Relation(self.spec.columns, rows)
-
-    def _value_of(self, group: _GroupState, state: _ItemState) -> Any:
-        if state.kind == "count_star":
-            return len(group.rows)
-        if state.kind == "column":
-            return group.rows[0][1][state.position]
-        if state.kind == "count":
-            return state.nonnull
-        if state.nonnull == 0:
-            return None
-        if state.kind == "sum":
-            return state.total
-        if state.kind == "avg":
-            return state.total / state.nonnull
-        if state.dirty:
-            self._rescan(group, state)
-        return state.extremum
-
-    def _rescan(self, group: _GroupState, state: _ItemState) -> None:
-        best: Any = None
-        for __, row in group.rows:
-            value = row[state.position]
-            if value is None:
-                continue
-            if best is None:
-                best = value
-            elif state.kind == "min":
-                if value < best:
-                    best = value
-            elif value > best:
-                best = value
-        state.extremum = best
-        state.dirty = False
+        return Relation(self.spec.columns,
+                        [group.values() for group in ordered])
 
     def __repr__(self) -> str:
         return (f"GroupedAggregateState({self.spec.columns}, "
@@ -872,7 +804,7 @@ class IncrementalJoinState:
     both windows. Residual predicate, WHERE and projection are applied
     once per surviving pair and the output row cached; the snapshot is a
     concatenation in (left-arrival, right-arrival) order — bit-identical
-    to the legacy hash join's probe order.
+    to the executors' hash join probe order.
 
     Not thread-safe across sources: deltas arrive under each source's
     own lock, so the sensor only attaches this state in synchronous
@@ -886,8 +818,6 @@ class IncrementalJoinState:
                  label: str = "",
                  on_poison: Optional[Callable[[BaseException], None]] = None
                  ) -> None:
-        from repro.sqlengine.physical import _Layout, _compile_row
-
         self.spec = spec
         self.healthy = True
         self.label = label
@@ -940,8 +870,6 @@ class IncrementalJoinState:
 
     @staticmethod
     def _projection_parts(plan: SelectPlan, layout: Any, like_cache: Dict):
-        from repro.sqlengine.physical import Unsupported, _compile_row
-
         parts: List[Tuple[str, Any, Any]] = []
         for item in plan.items:
             expr = item.expression
@@ -976,7 +904,7 @@ class IncrementalJoinState:
 
     # -- delta application --------------------------------------------------
 
-    _poison = IncrementalAggregateState._poison
+    _poison = _DeltaState._poison
 
     def side_appended(self, left: bool, row: Tuple[Any, ...]) -> None:
         if not self.healthy:
@@ -1090,7 +1018,7 @@ class IncrementalJoinState:
     # -- result ------------------------------------------------------------
 
     def snapshot(self) -> Relation:
-        """The join's current answer, in legacy probe order."""
+        """The join's current answer, in hash-join probe order."""
         rows: List[Tuple[Any, ...]] = []
         for entry in self._left_entries.values():
             rows.extend(entry.matches.values())

@@ -49,9 +49,8 @@ from repro.exceptions import SQLExecutionError
 from repro.sqlengine.ast_nodes import (
     AGGREGATE_FUNCTIONS, BetweenExpr, BinaryOp, CaseExpr, CastExpr,
     ColumnRef, FunctionCall, InExpr, IsNullExpr, LikeExpr, Literal, Node,
-    Star, UnaryOp,
+    Star, UnaryOp, has_subquery,
 )
-from repro.sqlengine.compiler import has_subquery
 from repro.sqlengine.executor import (
     Catalog, _apply_set_op, _arith, _cast, _compare, _hashable,
     _like_to_regex, _Reversed, _sort_key, _truthy,
@@ -164,6 +163,7 @@ def _signed(op: str, value: Any) -> Any:
 
 
 def _scalar(name: str, func: Callable[..., Any], *args: Any) -> Any:
+    """``call_scalar`` with the function resolved at compile time."""
     try:
         return func(*args)
     except SQLExecutionError:
@@ -336,8 +336,8 @@ class _Emitter:
                 return self._aggregate(node, group)
             args = ", ".join([self.expr(arg, group) for arg in node.args])
             name = self.bind(node.name)
-            func = None if group else SCALAR_FUNCTIONS.get(node.name)
-            if func is None:  # eval_group's form, and its message
+            func = SCALAR_FUNCTIONS.get(node.name)
+            if func is None:  # raises the unknown-function error
                 return self.assign(f"_call_scalar({name}, [{args}])")
             return self.assign(f"_scalar({name}, {self.bind(func)}, {args})")
         if group and isinstance(node, _ROW_PREDICATES):

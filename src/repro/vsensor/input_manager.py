@@ -44,7 +44,6 @@ class SourceRuntime:
 
     def __init__(self, spec: StreamSourceSpec, wrapper: Wrapper,
                  clock: Clock, sampler_seed: Optional[int] = None,
-                 incremental: bool = True,
                  tracer: Optional[PipelineTracer] = None) -> None:
         self.spec = spec
         self.wrapper = wrapper
@@ -60,21 +59,20 @@ class SourceRuntime:
         self.window: SlidingWindow = make_window(  # guarded-by: SourceRuntime._lock
             spec.storage_size or _DEFAULT_WINDOW_SPEC
         )
-        self.incremental = incremental
+        # The delta-maintained window view (step 2 without a rebuild).
         self.materializer: Optional[WindowRelation] = None  # guarded-by: SourceRuntime._lock
-        if incremental:
-            try:
-                schema = wrapper.output_schema()
-            except Exception as exc:
-                schema = None  # wrapper can't tell yet: stay on legacy
-                logger.info(
-                    "%s: wrapper %s has no schema before start (%s); "
-                    "window stays on the legacy path",
-                    spec.alias, spec.address.wrapper, exc,
-                )
-            if schema is not None:
-                self.materializer = WindowRelation(schema.field_names)
-                self.window.add_observer(self.materializer)
+        try:
+            schema = wrapper.output_schema()
+        except Exception as exc:
+            schema = None  # wrapper can't tell yet: rebuild per trigger
+            logger.info(
+                "%s: wrapper %s has no schema before start (%s); "
+                "the window is rebuilt per trigger",
+                spec.alias, spec.address.wrapper, exc,
+            )
+        if schema is not None:
+            self.materializer = WindowRelation(schema.field_names)
+            self.window.add_observer(self.materializer)
         self.sampler = ProbabilisticSampler(spec.sampling_rate,
                                             seed=sampler_seed)
         self.buffer = DisconnectBuffer(spec.disconnect_buffer)
@@ -199,11 +197,9 @@ class SourceRuntime:
         return self._into_window(self.buffer.reconnect())
 
     def window_relation(self, now: Optional[int] = None) -> Relation:
-        """Window contents unnested into a flat relation (step 2).
-
-        This is the legacy per-trigger rebuild: O(window) tuples built
-        from scratch. The incremental pipeline uses
-        :meth:`snapshot_state` instead.
+        """Window contents unnested into a flat relation (step 2),
+        rebuilt from scratch: O(window) tuples. The pipeline uses
+        :meth:`snapshot_state`; this is the reference it must match.
         """
         with self._lock:
             return self._rebuild(now)
@@ -219,7 +215,7 @@ class SourceRuntime:
         return Relation(columns, rows)
 
     def snapshot_state(
-        self, now: Optional[int] = None, zero_copy: bool = False,
+        self, now: Optional[int] = None, synchronous: bool = False,
     ) -> Tuple[Relation, int, bool, bool]:
         """The window relation plus the metadata the cache needs.
 
@@ -235,9 +231,9 @@ class SourceRuntime:
           elements stamped ahead of the query time), so derived results
           must not be reused across triggers.
 
-        With ``zero_copy`` the live :class:`WindowRelation` itself is
-        returned — only safe when the caller finishes reading it before
-        this source admits another element (synchronous containers).
+        In a ``synchronous`` container the live :class:`WindowRelation`
+        itself is returned — safe because the caller finishes reading it
+        before this source admits another element; otherwise a copy.
         """
         with self._lock:
             faithful = self.window.synchronize(now)
@@ -245,7 +241,7 @@ class SourceRuntime:
             if mat is None or not faithful:
                 return (self._rebuild(now), self.window.version,
                         False, faithful)
-            relation: Relation = mat if zero_copy else mat.snapshot()
+            relation: Relation = mat if synchronous else mat.snapshot()
             return relation, self.window.version, True, True
 
     def status(self) -> dict:
@@ -299,7 +295,6 @@ class InputStreamManager:
 
     def __init__(self, clock: Clock, trigger: TriggerCallback,
                  seed: Optional[int] = None,
-                 incremental: bool = True,
                  tracer: Optional[PipelineTracer] = None) -> None:
         self.clock = clock
         self._trigger = trigger
@@ -311,7 +306,6 @@ class InputStreamManager:
         self._streams: Dict[str, StreamRuntime] = {}  # guarded-by: InputStreamManager._lock
         self._enabled = True
         self._seed = seed
-        self._incremental = incremental
         self.tracer = tracer
         # The source whose admission caused the in-flight trigger; lets
         # the pipeline adopt that source's ingest span without widening
@@ -331,7 +325,6 @@ class InputStreamManager:
             wrapper = wrappers[source_spec.alias]
             seed = None if self._seed is None else self._seed + index
             runtime = SourceRuntime(source_spec, wrapper, self.clock, seed,
-                                    incremental=self._incremental,
                                     tracer=self.tracer)
             wrapper.add_listener(
                 self._listener(spec.name, runtime)

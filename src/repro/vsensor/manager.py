@@ -146,7 +146,7 @@ class VirtualSensorManager:
         """Deploy-time gsn-plan verdicts for one descriptor.
 
         Advisory: the verdicts pre-route proven-ineligible per-source
-        queries to the legacy executor and let the runtime report any
+        queries to per-trigger execution and let the runtime report any
         disagreement with an eligible verdict. Never blocks a deploy —
         any analysis failure yields an empty map (runtime classification
         then decides alone, exactly as before gsn-plan existed).

@@ -26,13 +26,15 @@ from repro.metrics.collectors import FastPathCounters, LatencyRecorder
 from repro.metrics.flight import FlightRecorder
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import PipelineTracer, Span, TraceBuffer
-from repro.sqlengine.executor import Catalog, execute_plan
+from repro.sqlengine.executor import Catalog
 from repro.sqlengine.incremental import (
     Classified, GroupedAggregateQuery, GroupedAggregateState, IdentityQuery,
     IncrementalAggregateState, IncrementalJoinState, classify, classify_join,
 )
 from repro.sqlengine.parser import parse_select
-from repro.sqlengine.physical import compile_for_catalog, run_plan
+from repro.sqlengine.physical import (
+    Unsupported, compile_for_catalog, run_plan,
+)
 from repro.sqlengine.planner import SelectPlan, plan_select
 from repro.sqlengine.relation import Relation
 from repro.sqlengine.rewriter import WRAPPER_TABLE
@@ -92,15 +94,15 @@ class VirtualSensor:
                                           descriptor.lifecycle,
                                           synchronous=synchronous,
                                           events=events)
-        # Escape hatch: the container option AND the descriptor's
-        # <storage incremental="..."> flag must both allow the
-        # incremental pipeline; either one forces the legacy rebuild.
+        # Running accumulators and delta joins attach only when the
+        # container option AND the descriptor's <storage incremental="...">
+        # flag both allow them; without them every query takes the route
+        # of any shape they cannot serve (cache, compiled pipeline).
         self.incremental = incremental and descriptor.storage.incremental
         # The live window view may only be handed to the executor when
         # nothing can mutate it mid-query: synchronous pipelines.
-        self._zero_copy = synchronous and self.incremental
+        self._synchronous = synchronous
         self.ism = InputStreamManager(clock, self._on_trigger, seed=seed,
-                                      incremental=self.incremental,
                                       tracer=self.tracer)
         self.latency = LatencyRecorder(keep_samples=True)
         self.fast_paths = FastPathCounters()
@@ -120,7 +122,7 @@ class VirtualSensor:
         # Deploy-time fast-path verdicts from gsn-plan
         # (repro.analysis.planpass.PlanVerdict, duck-typed so the runtime
         # never imports the analysis layer). A proven-ineligible verdict
-        # routes the source straight to the legacy executor; an eligible
+        # routes the source straight to per-trigger execution; an eligible
         # verdict that fails to hold at runtime is a reported defect.
         self._static_verdicts: Dict[SourceKey, Any] = dict(
             static_verdicts or {}
@@ -164,8 +166,7 @@ class VirtualSensor:
                 for source_runtime in runtime.sources:
                     self._attach_fast_path(stream.name, source_runtime)
                 self._attach_join(stream.name, runtime)
-        if self.incremental:
-            self._compile_source_plans()
+        self._compile_source_plans()
 
     # -- output stream -------------------------------------------------------
 
@@ -246,7 +247,7 @@ class VirtualSensor:
         Anything that doesn't qualify simply stays on the generic
         executor — classification is advisory, never load-bearing. When
         gsn-plan supplied a static verdict, a *proven*-ineligible one
-        skips classification outright (legacy path chosen up front),
+        skips classification outright (per-trigger execution up front),
         while an eligible one that fails to attach here is a
         disagreement — the static analysis promised a fast path that the
         runtime could not deliver — and is counted as a defect.
@@ -280,7 +281,7 @@ class VirtualSensor:
         # Running accumulators ride the window observer protocol, which
         # both count and time windows publish; the referenced columns
         # must all exist in the materialized relation, otherwise the
-        # legacy path must keep raising its unknown-column error at
+        # executor must keep raising its unknown-column error at
         # query time.
         if any(name not in mat._index for name in classified.referenced):
             return False
@@ -305,12 +306,13 @@ class VirtualSensor:
         label = (f"{self.name}/{stream_name}/{source.spec.alias}: "
                  f"{source.spec.query}")
         state: Union[IncrementalAggregateState, GroupedAggregateState]
-        if isinstance(classified, GroupedAggregateQuery):
-            state = GroupedAggregateState(classified, mat, label=label,
-                                          on_poison=poisoned)
-        else:
-            state = IncrementalAggregateState(classified, mat, label=label,
-                                              on_poison=poisoned)
+        kind = (GroupedAggregateState
+                if isinstance(classified, GroupedAggregateQuery)
+                else IncrementalAggregateState)
+        try:
+            state = kind(classified, mat, label=label, on_poison=poisoned)
+        except Unsupported:
+            return False  # a WHERE the emitter cannot compile
         if not state.healthy:
             return False
         mat.add_listener(state)
@@ -336,9 +338,9 @@ class VirtualSensor:
         executor would see; and the container must be synchronous — the
         join state listens on two windows whose deltas arrive under two
         different source locks, so it is only safe when all windows
-        mutate on the caller's thread (zero-copy mode).
+        mutate on the caller's thread.
         """
-        if not self._zero_copy:
+        if not self._synchronous:
             return
         spec = classify_join(self._stream_plans[stream_name])
         if spec is None:
@@ -379,8 +381,8 @@ class VirtualSensor:
         """Deploy-time compilation of the per-source plans.
 
         Each plan is lowered against its window's materialized schema
-        into a pull-based physical-operator pipeline, so the legacy rung
-        of the ladder re-executes compiled closures per trigger with
+        into a pull-based physical-operator pipeline, so the last rung
+        of the ladder re-executes generated stages per trigger with
         zero re-planning. Shapes the compiler rejects stay on the
         interpreter (the failure is cached on the plan)."""
         for stream in self.descriptor.input_streams:
@@ -478,9 +480,9 @@ class VirtualSensor:
            hand back the delta-maintained window relation;
         3. incremental aggregates — answer from running accumulators
            (flat or grouped);
-        4. compiled/legacy — run the deploy-time compiled pipeline (or
-           the interpreter, for shapes the compiler rejects) over a
-           (possibly still zero-copy) window relation.
+        4. compiled — run the deploy-time compiled pipeline (or the
+           interpreter, for the shapes the compiler rejects) over the
+           window relation.
 
         Returns ``(temporary, from_view)`` — the second element reports
         whether step 2 was served by the live materialized view, which
@@ -492,25 +494,10 @@ class VirtualSensor:
         """
         key = (stream_name, source.spec.alias)
         alias = source.spec.alias
-        plan = self._source_plans[key]
-        if not self.incremental:
-            self.fast_paths.record_legacy()
-            span = parent.child("window_select", source=alias) \
-                if parent is not None else None
-            relation = source.window_relation(now)
-            if span is not None:
-                span.finish()
-            span = parent.child("source_query", source=alias,
-                                path="legacy") if parent is not None else None
-            temporary = execute_plan(plan, Catalog({WRAPPER_TABLE: relation}))
-            if span is not None:
-                span.finish()
-            return temporary, False
-
         span = parent.child("window_select", source=alias) \
             if parent is not None else None
         relation, version, from_view, cacheable = source.snapshot_state(
-            now, zero_copy=self._zero_copy
+            now, synchronous=self._synchronous
         )
         if span is not None:
             span.attributes["from_view"] = from_view
@@ -528,7 +515,7 @@ class VirtualSensor:
             return cached[1], from_view
         self.fast_paths.record_cache(False)
 
-        path = "legacy"
+        path = "interpreted"
         temporary: Optional[Relation] = None
         fast = self._fast_paths.get(key)
         if from_view and fast is not None:
@@ -543,7 +530,8 @@ class VirtualSensor:
         if temporary is None:
             self.fast_paths.record_legacy()
             window_catalog = Catalog({WRAPPER_TABLE: relation})
-            temporary, compiled = run_plan(plan, window_catalog)
+            temporary, compiled = run_plan(self._source_plans[key],
+                                           window_catalog)
             self.fast_paths.record_compiled(compiled)
             if compiled:
                 path = "compiled"
@@ -565,7 +553,7 @@ class VirtualSensor:
         windows and a rebuilt/unfaithful snapshot could diverge from
         them. Otherwise the output query runs through the compiled
         pipeline, or the tree-walking interpreter for shapes the
-        compiler rejects (and always the interpreter in legacy mode).
+        compiler rejects.
         """
         plan = self._stream_plans[stream_name]
         state = self._join_states.get(stream_name)
@@ -575,10 +563,6 @@ class VirtualSensor:
                 if span is not None:
                     span.attributes["path"] = "join"
                 return result
-        if not self.incremental:
-            if span is not None:
-                span.attributes["path"] = "legacy"
-            return execute_plan(plan, temporaries)
         result, compiled = run_plan(plan, temporaries)
         self.fast_paths.record_compiled(compiled)
         if span is not None:
@@ -613,8 +597,8 @@ class VirtualSensor:
         """The accumulator's current answer, or ``None`` to fall back.
 
         A poisoned (or poisoning) accumulator routes the query through
-        the legacy executor so errors surface at query time exactly as
-        the non-incremental pipeline would raise them.
+        per-trigger execution, so errors surface at query time exactly
+        as they would without the accumulator.
         """
         state = self._agg_states.get(key)
         if state is None:
@@ -632,7 +616,7 @@ class VirtualSensor:
             self.fast_paths.record_aggregate_fallback()
             logger.warning(
                 "%s: aggregate accumulator for %s/%s poisoned itself; "
-                "falling back to the legacy executor", self.name, *key,
+                "falling back to per-trigger execution", self.name, *key,
                 exc_info=True,
             )
             return None

@@ -1,10 +1,12 @@
 """Properties of the source-generated pipeline stages.
 
 The fused Filter, the fused Project and Top-N are generated Python; the
-tree-walking interpreter is their oracle. These properties drive them
+tree-walking interpreter (``_Executor.eval``) is their oracle — the
+only two expression evaluators there are. These properties drive them
 over values the inlined fast paths must *not* claim — ``bool``, ``str``,
 ``bytes``, ``None``, NaN and infinities beside exact ``int`` / ``float``
-— and require the same rows, or the same exception class and message.
+— and over a fixed corpus of expression texts, and require the same
+rows, or the same exception class and message.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine.executor import Catalog, execute_plan
 from repro.sqlengine.parser import parse_select
-from repro.sqlengine.physical import catalog_schemas, try_compile
+from repro.sqlengine.physical import catalog_schemas, run_plan, try_compile
 from repro.sqlengine.planner import plan_select
 from repro.sqlengine.relation import Relation
 
@@ -114,13 +116,75 @@ def test_generated_projection_matches_interpreter(t, items):
     catalog = Catalog({"t": Relation(COLUMNS, t)})
     select = ", ".join(f"{item} as x{i}" for i, item in enumerate(items))
     assert_same(f"select a, {select}, * from t", catalog)
-    # eval_group hands IN / BETWEEN to the tree-walking eval, which
-    # evaluates every option and bound up front; the pipeline always
-    # short-circuited them like the row compiler, so which of two
-    # errors surfaces may differ there — as before this change.
-    if " in " not in select and " between " not in select:
-        assert_same(f"select {select}, count(*) as n from t group by a",
-                    catalog)
+    assert_same(f"select {select}, count(*) as n from t group by a",
+                catalog)
+
+
+#: Every expression form, over a small (a INT, b INT, s VARCHAR) table.
+EXPRESSION_COLUMNS = ("a", "b", "s")
+EXPRESSION_TEXTS = [
+    "a + b * 2",
+    "a - b",
+    "-a",
+    "+a",
+    "not (a > b)",
+    "a > 0 and b < 5",
+    "a > 0 or s = 'x'",
+    "a = b or a <> b",
+    "a is null",
+    "s is not null",
+    "a in (1, 2, 3)",
+    "a not in (1, null)",
+    "a between -10 and 10",
+    "a not between b and 50",
+    "s like 'x%'",
+    "s not like '_'",
+    "a || s",
+    "abs(a)",
+    "coalesce(a, b, 0)",
+    "nullif(b, 3)",
+    "length(s)",
+    "upper(s) || lower(s)",
+    "case when a > 0 then 'pos' when a < 0 then 'neg' else 'z' end",
+    "case b when 1 then 'one' when 2 then 'two' end",
+    "cast(a as double)",
+    "cast(b as varchar)",
+    "a / b",
+    "a % b",
+    "a / 0",
+    "sqrt(a)",          # raises for negative a on both evaluators
+    "'lit' = s",
+]
+expression_rows = st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(-50, 50)),
+    st.one_of(st.none(), st.integers(0, 9)),
+    st.one_of(st.none(), st.sampled_from(["x", "yy", "Z", ""])),
+), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=expression_rows, text=st.sampled_from(EXPRESSION_TEXTS))
+def test_expression_corpus_matches_interpreter(t, text):
+    catalog = Catalog({"t": Relation(EXPRESSION_COLUMNS, t)})
+    assert_same(f"select {text} as x from t", catalog)
+    assert_same(f"select * from t where {text}", catalog)
+    assert_same(f"select b, max({text}) as x from t group by b "
+                f"having count(*) > 1 or min({text}) = max({text})", catalog)
+
+
+@settings(max_examples=50, deadline=None)
+@given(t=expression_rows)
+def test_subquery_expressions_stay_on_the_interpreter(t):
+    catalog = Catalog({"t": Relation(EXPRESSION_COLUMNS, t)})
+    plan = plan_select(parse_select(
+        "select a from t where a in (select b from t) "
+        "and exists (select 1 from t where b = 1)"))
+    assert try_compile(plan, catalog_schemas(plan, catalog)) is None
+    assert plan._phys_reason == "subquery expression"
+    result, compiled = run_plan(plan, catalog)
+    assert not compiled
+    assert outcome(lambda: result) \
+        == outcome(lambda: execute_plan(plan, catalog))
 
 
 order_values = st.one_of(

@@ -11,7 +11,7 @@ runtime.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import SQLError
 from repro.sqlengine.executor import Catalog, execute_plan
@@ -139,6 +139,74 @@ def test_reexecution_is_stable(t):
         target = Catalog({"t": Relation(T_COLUMNS, rows)})
         assert outcome(lambda: pipeline.execute(target)) \
             == outcome(lambda: execute_plan(plan, target))
+
+
+# HAVING hands IN / BETWEEN / IS NULL to row evaluation of the group's
+# first row; the operands mix BOOLEAN, VARCHAR and NULL with a unary
+# minus, a concatenation and a scalar call that can each raise.
+H_COLUMNS = ("a", "b", "s")
+h_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.booleans()),
+        st.one_of(st.none(), st.integers(-3, 3)),
+        st.one_of(st.none(), st.sampled_from(["x", "y", ""])),
+    ),
+    max_size=8,
+)
+h_operands = st.recursive(
+    st.sampled_from(["a", "b", "s", "null", "true", "'x'", "1", "-2"]),
+    lambda inner: st.one_of(
+        st.builds("(- {})".format, inner),
+        st.builds("({} || {})".format, inner, inner),
+        st.builds("sqrt({})".format, inner),
+    ),
+    max_leaves=3,
+)
+h_predicates = st.one_of(
+    st.builds("{} in ({}, {})".format, h_operands, h_operands, h_operands),
+    st.builds("{} not in ({}, {})".format, h_operands, h_operands,
+              h_operands),
+    st.builds("{} between {} and {}".format, h_operands, h_operands,
+              h_operands),
+    st.builds("{} not between {} and {}".format, h_operands, h_operands,
+              h_operands),
+    st.builds("{} is not null".format, h_operands),
+    st.builds("{} >= {}".format, h_operands, h_operands),
+)
+H_TABLE = [(False, 1, "x"), (True, 2, "y")]
+
+
+def outcome_with_message(fn):
+    """Rows, or the error's class and message — any error: group
+    context lets a bare ``-'x'`` raise Python's TypeError on both."""
+    try:
+        relation = fn()
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", tuple(relation.columns), list(relation.rows))
+
+
+@settings(max_examples=150, deadline=None)
+@example(t=H_TABLE, predicate="a in (a, -a)")
+@example(t=H_TABLE, predicate="a not between (s || s) and (- a)")
+@example(t=H_TABLE, predicate="a in (sqrt(b - 3), a)")
+@given(t=h_rows, predicate=h_predicates)
+def test_having_predicates_match_interpreter(t, predicate):
+    # The first example raised in the interpreter only (every IN option
+    # was evaluated before comparing), the second raised a different
+    # error (BETWEEN's upper bound came before the lower comparison),
+    # the third read ``sqrt([-2]) failed`` instead of ``sqrt() failed``.
+    catalog = Catalog({"t": Relation(H_COLUMNS, t)})
+    for sql in (f"select a from t group by a having {predicate}",
+                f"select a, count(*) as n from t group by a "
+                f"having {predicate} and count(*) > 0"):
+        plan = plan_select(parse_select(sql))
+        pipeline = try_compile(plan, catalog_schemas(plan, catalog))
+        assert pipeline is not None, \
+            (sql, getattr(plan, "_phys_reason", None))
+        assert outcome_with_message(lambda: pipeline.execute(catalog)) \
+            == outcome_with_message(lambda: execute_plan(plan, catalog)), \
+            sql
 
 
 def test_unsupported_shapes_report_a_reason():

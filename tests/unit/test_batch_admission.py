@@ -185,6 +185,7 @@ class TestRelationAndListeners:
         assert many_state.updates == one_state.updates
 
     def test_grouped_state_through_the_default_replay(self):
+        # The grouped state now folds a batch itself, like the flat one.
         sql = ("select g, count(*) as n, sum(v) as s, max(v) as hi "
                "from wrapper group by g")
         one, one_state, __ = self.attach(GroupedAggregateState, sql)
@@ -241,6 +242,23 @@ class TestRelationAndListeners:
         assert type(many_state.poison_cause) is type(one_state.poison_cause)
         assert str(many_state.poison_cause) == str(one_state.poison_cause)
         # The initial reset plus the two deltas before the bad row.
+        assert many_state.updates == one_state.updates == 3
+
+    def test_grouped_poison_parity_under_a_where(self):
+        sql = ("select g, count(*) as n from wrapper "
+               "where sqrt(v) < 3 group by g")
+        batch = [StreamElement({"g": i % 2, "v": v}, timed=100 + i)
+                 for i, v in enumerate([1, 4, -1, 9, -4, 2])]
+        one, one_state, one_poisonings = self.attach(
+            GroupedAggregateState, sql)
+        many, many_state, many_poisonings = self.attach(
+            GroupedAggregateState, sql)
+        for element in batch:
+            one.append(element)
+        many.extend(batch)
+        assert len(many_poisonings) == len(one_poisonings) == 1
+        assert str(many_state.poison_cause) == str(one_state.poison_cause) \
+            == "sqrt() failed: math domain error"
         assert many_state.updates == one_state.updates == 3
 
     def test_poison_counts_once_on_the_sensor(self):

@@ -8,7 +8,10 @@ lengths, and the ``from_dicts`` key normalization.
 import pytest
 
 from repro.datatypes import DataType
-from repro.descriptors.model import StorageConfig
+from repro.descriptors.model import (
+    AddressSpec, InputStreamSpec, StorageConfig, StreamSourceSpec,
+    VirtualSensorDescriptor,
+)
 from repro.descriptors.xml_io import descriptor_from_xml, descriptor_to_xml
 from repro.gsntime.clock import VirtualClock
 from repro.sqlengine.executor import Catalog, execute_plan
@@ -233,6 +236,16 @@ class TestGroupedAggregateState:
         assert len(poisonings) == 1
         assert state.poison_cause is poisonings[0]
 
+    def test_count_of_incomparable_values_does_not_poison(self):
+        # count(v) never compares values, so mixed types are fine.
+        sql = "select g, count(v) as c from wrapper group by g"
+        window, mat, state, poisonings = self.build(sql, window_size=2)
+        window.append(self.element("a", 4, 100))
+        window.append(self.element("a", "oops", 101))
+        window.append(self.element("a", None, 102))
+        assert state.healthy and not poisonings
+        assert list(state.snapshot().rows) == [("a", 1)]
+
 
 class TestIncrementalJoinState:
     """Direct delta-propagation tests for the two-source equi-join."""
@@ -412,7 +425,11 @@ class TestFastPathCounters:
         counters = sensor.fast_paths.snapshot()
         assert counters["legacy_queries"] == 1
         assert counters["aggregate_hits"] == 0
+        # No delta state: the source query takes the compiled route,
+        # beside the output query.
+        assert counters["compiled_queries"] == 2
         assert sensor.status()["incremental"]["enabled"] is False
+        assert sensor.status()["incremental"]["fast_paths"] == {}
 
     def test_container_escape_hatch_forces_legacy(self):
         descriptor = simple_mote_descriptor(window="10")
@@ -421,6 +438,7 @@ class TestFastPathCounters:
         sensor.start()
         wrapper.tick()
         assert sensor.fast_paths.snapshot()["legacy_queries"] == 1
+        assert sensor.fast_paths.snapshot()["compiled_queries"] == 2
         assert sensor.status()["incremental"]["enabled"] is False
 
     def test_poisoned_aggregate_falls_back_and_error_surfaces(self):
@@ -483,6 +501,52 @@ class TestFastPathCounters:
         # Every trigger mutates this source's window: no reuse possible.
         assert counters["cache_hits"] == 0
         assert counters["cache_misses"] == 2
+
+
+class TestFlagFoldsFloatsLikeTheWholeWindow:
+    """The one job ``incremental="false"`` keeps: a running float sum
+    drops whole values once a large one has passed through the window
+    (1e16 absorbs the 1.0 added beside it, and subtracting it back
+    leaves 0.0), while a whole-window fold does not."""
+
+    QUERY = "select sum(v) as s, avg(v) as a from wrapper"
+
+    def answers(self, incremental):
+        descriptor = VirtualSensorDescriptor(
+            name="floats",
+            output_structure=StreamSchema.build(s=DataType.DOUBLE,
+                                                a=DataType.DOUBLE),
+            input_streams=(InputStreamSpec(
+                name="in",
+                sources=(StreamSourceSpec(
+                    alias="src", address=AddressSpec("scripted"),
+                    query=self.QUERY, storage_size="2"),),
+                query="select * from src",
+            ),),
+            storage=StorageConfig(incremental=incremental),
+        )
+        clock = VirtualClock(10_000)
+        wrapper = ScriptedWrapper()
+        wrapper.script(lambda now: None, StreamSchema.build(v=DataType.DOUBLE))
+        wrapper.attach(clock)
+        wrapper.configure({})
+        sensor = VirtualSensor(descriptor, clock, {"src": wrapper})
+        outputs = []
+        sensor.add_listener(lambda element: outputs.append(
+            (element["s"], element["a"])))
+        sensor.start()
+        for value in (1e16, 1.0, 1.0):
+            clock.advance(1)
+            wrapper.emit({"v": value})
+        return outputs[-1], sensor
+
+    def test_flagged_sensor_answers_the_whole_window_fold(self):
+        answer, sensor = self.answers(incremental=False)
+        assert answer == (2.0, 1.0)
+        assert not sensor._agg_states
+        window = sensor.ism.stream("in").source("src").window_relation()
+        assert execute_plan(plan(self.QUERY), Catalog({
+            "wrapper": window})).rows == [(2.0, 1.0)]
 
 
 class TestDescriptorFlag:
