@@ -30,6 +30,8 @@ Run after ``pytest benchmarks/test_micro.py`` has written
   cell costs more microseconds per tuple than its ceiling in
   ``baseline.json``, or the event-loop lag witness costs more than 2%
   of loop wall time,
+- a stream-table catalog read (``catalog_history64_sqlite``) costs more
+  microseconds than its ceiling in ``baseline.json``,
 - a design count of the source tree (``design_metrics.py``: lines per
   package, ``exec`` sites, lint suppressions, ``GSN_*`` names,
   ``incremental`` parameters) exceeds the one recorded in
@@ -47,6 +49,13 @@ from design_metrics import DESIGN_PATH, counts, measure
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REGRESSION_FACTOR = 0.8  # >20% slowdown vs the recorded baseline fails
+#: Absolute microsecond ceilings in ``baseline.json``: (section, the
+#: metric field its cells carry, what one measurement costs).
+CEILINGS = (
+    ("admission_ceilings_us_per_tuple", "admission_us_per_tuple",
+     "per admitted tuple"),
+    ("catalog_ceilings_us", "catalog_us", "per catalog read"),
+)
 
 
 def check(metrics: dict, baseline: dict) -> List[str]:
@@ -160,17 +169,16 @@ def check(metrics: dict, baseline: dict) -> List[str]:
             failures.append(f"{name} below its {floor}x compiled floor "
                             f"({speedup:.1f}x over the interpreter)")
 
-    for name, ceiling in sorted(
-            baseline.get("admission_ceilings_us_per_tuple", {}).items()):
-        cost = metrics.get(name, {}).get("admission_us_per_tuple")
-        if cost is None:
-            failures.append(f"{name}: admission cell missing from "
-                            "BENCH_ingest.json")
-            continue
-        print(f"{name}: {cost:.2f} us per tuple (ceiling {ceiling} us)")
-        if cost > ceiling:
-            failures.append(f"{name}: batch admission costs {cost:.2f} us "
-                            f"per tuple (ceiling {ceiling} us)")
+    for section, field, what in CEILINGS:
+        for name, ceiling in sorted(baseline.get(section, {}).items()):
+            cost = metrics.get(name, {}).get(field)
+            if cost is None:
+                failures.append(f"{name}: {what} cell missing")
+                continue
+            print(f"{name}: {cost:.2f} us {what} (ceiling {ceiling} us)")
+            if cost > ceiling:
+                failures.append(f"{name}: {cost:.2f} us {what} "
+                                f"(ceiling {ceiling} us)")
 
     recorded_pct = baseline["fast_path_static_coverage"]["examples_percent"]
     coverage = metrics.get("fast_path_static_coverage", {})

@@ -29,7 +29,9 @@ from repro.sqlengine.physical import run_plan
 from repro.sqlengine.planner import plan_select
 from repro.sqlengine.relation import Relation
 from repro.storage.base import RetentionPolicy
+from repro.storage.manager import StorageManager
 from repro.storage.memory import MemoryStorage
+from repro.streams.element import StreamElement
 from repro.streams.schema import StreamSchema
 from repro.vsensor import virtual_sensor as sensor_module
 from repro.vsensor.virtual_sensor import VirtualSensor
@@ -792,6 +794,36 @@ def test_race_witness_overhead() -> None:
         f"race witness path costs {witness_pct:.2f}% of a trigger (budget 2%)"
     assert overhead_pct <= 10.0, \
         f"end-to-end witness overhead {overhead_pct:.1f}% is beyond noise"
+
+
+def test_catalog_history64_sqlite() -> None:
+    """Microseconds per ``StorageManager.catalog()`` plus the read of the
+    one table a standing query touches: a 64-row permanent history (the
+    e2e ``gateway_delta`` output) among 16 output tables. This is the
+    read every arrival at a subscribed table pays."""
+    manager = StorageManager()
+    schema = StreamSchema.build(seq=DataType.INTEGER, v=DataType.DOUBLE)
+    tables = [manager.create_stream(f"vs_{index}", schema, retention="64",
+                                    permanent=True)
+              for index in range(16)]
+    for seq in range(128):
+        for table in tables:
+            table.append(StreamElement({"seq": seq, "v": seq / 2},
+                                       timed=seq))
+    assert len(manager.catalog().get("vs_0")) == 64
+    rounds = 2_000
+    runs = []
+    for __ in range(5):
+        start = perf_counter()
+        for __ in range(rounds):
+            manager.catalog().get("vs_0")
+        runs.append((perf_counter() - start) / rounds)
+    manager.close()
+    register_metric("catalog_history64_sqlite", {
+        "rows": 64,
+        "tables": 16,
+        "catalog_us": min(runs) * 1e6,
+    })
 
 
 def test_node_throughput(benchmark) -> None:

@@ -525,7 +525,7 @@ def _resource_pass(descriptor: VirtualSensorDescriptor,
     if unbounded_history:
         report.add("GSN302",
                    "permanent-storage without a size bound grows without "
-                   "limit; declare <storage size=...>",
+                   "limit, on disk and in memory; declare <storage size=...>",
                    location=descriptor.name, source=source)
 
     for stream in descriptor.input_streams:

@@ -38,10 +38,10 @@ def _windowed_catalog(base: Catalog, tables: FrozenSet[str], now: int,
             windowed.register(table, relation)
             continue
         position = relation.column_position("timed")
-        filtered = Relation(relation.columns, (
+        filtered = Relation.adopt(relation.columns, [
             row for row in relation.rows
             if row[position] is not None and cutoff < row[position] <= now
-        ))
+        ])
         windowed.register(table, filtered)
     return windowed
 

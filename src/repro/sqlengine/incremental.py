@@ -1022,9 +1022,7 @@ class IncrementalJoinState:
         rows: List[Tuple[Any, ...]] = []
         for entry in self._left_entries.values():
             rows.extend(entry.matches.values())
-        relation = Relation(self.columns)
-        relation.rows = rows
-        return relation
+        return Relation.adopt(self.columns, rows)
 
     def __repr__(self) -> str:
         return (f"IncrementalJoinState({self.columns}, "

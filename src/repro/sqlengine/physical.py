@@ -898,9 +898,7 @@ class _Compiler:
             if deferred is not None:
                 out_rows = project(out_rows)
                 project_op.last_rows = len(out_rows)
-            result = Relation(out_columns)
-            result.rows = out_rows
-            return result
+            return Relation.adopt(out_columns, out_rows)
 
         return CompiledPipeline(top_op, out_columns,
                                 tuple(self.signature), run, self.sources)

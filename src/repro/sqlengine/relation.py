@@ -61,8 +61,12 @@ class Relation:
         return relation
 
     @classmethod
-    def empty(cls, columns: Sequence[str]) -> "Relation":
-        return cls(columns)
+    def adopt(cls, columns: Sequence[str], rows: List[Any]) -> "Relation":
+        """A relation over ``rows`` as given, neither copied nor checked:
+        the caller vouches each row is a tuple as wide as ``columns``."""
+        relation = cls(columns)
+        relation.rows = rows
+        return relation
 
     def append(self, row: Sequence[Any]) -> None:
         values = tuple(row)

@@ -2,7 +2,7 @@
 
 Routes each virtual sensor's output stream to the right backend according
 to its ``<storage permanent-storage=... size=...>`` directive, allocates
-collision-free table names, and exposes everything as a
+collision-free table names, and exposes everything as a lazy
 :class:`~repro.sqlengine.executor.Catalog` view so registered queries can
 read any stream hosted by the container.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.concurrency import new_lock
 from repro.exceptions import StorageError
@@ -33,6 +33,30 @@ def safe_table_name(raw: str) -> str:
     if not lowered or not (lowered[0].isalpha() or lowered[0] == "_"):
         lowered = "t_" + lowered
     return lowered
+
+
+class StorageCatalog(Catalog):
+    """Stream tables, each snapshotted when first read and kept: one
+    query sees one state per table, and nobody copies unread tables."""
+
+    def __init__(self, homes: Dict[str, StorageBackend],
+                 now: Optional[int]) -> None:
+        super().__init__()
+        self._homes = homes
+        self._now = now
+
+    def get(self, name: str) -> Relation:
+        key = name.lower()
+        if key not in self._tables and key in self._homes:
+            self._tables[key] = self._homes[key].get(key).relation(self._now)
+        return super().get(name)
+
+    def __contains__(self, name: object) -> bool:
+        return super().__contains__(name) or (
+            isinstance(name, str) and name.lower() in self._homes)
+
+    def table_names(self) -> List[str]:
+        return sorted(set(self._tables) | set(self._homes))
 
 
 class StorageManager:
@@ -124,21 +148,11 @@ class StorageManager:
             return sorted(self._homes)
 
     def catalog(self, now: Optional[int] = None) -> Catalog:
-        """A catalog of every stream's current contents.
-
-        Materialized on demand: cheap for the handful of streams a
-        registered query touches, and always consistent with retention.
-        """
+        """A catalog of every stream hosted now; each table's contents
+        are snapshotted when a query first reads it."""
         with self._lock:
             homes = dict(self._homes)
-        catalog = Catalog()
-        for table_name, backend in homes.items():
-            catalog.register(table_name,
-                             backend.get(table_name).relation(now))
-        return catalog
-
-    def relation(self, name: str, now: Optional[int] = None) -> Relation:
-        return self.get(name).relation(now)
+        return StorageCatalog(homes, now)
 
     def close(self) -> None:
         with self._lock:

@@ -1,66 +1,19 @@
 """In-memory storage backend.
 
-The default for transient streams (``permanent-storage="false"``): elements
-live in a deque bounded by the retention policy, and relations are
-materialized on demand.
+The default for transient streams (``permanent-storage="false"``): the
+table is nothing but the retained rows every
+:class:`~repro.storage.base.StreamTable` holds.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
-
-from repro.exceptions import StorageError
-from repro.sqlengine.relation import Relation
+from repro.concurrency import new_lock
 from repro.storage.base import RetentionPolicy, StorageBackend, StreamTable
-from repro.streams.element import StreamElement
 from repro.streams.schema import StreamSchema
 
 
 class MemoryStreamTable(StreamTable):
-    def __init__(self, name: str, schema: StreamSchema,
-                 retention: RetentionPolicy) -> None:
-        super().__init__(name, schema, retention)
-        maxlen = retention.amount if retention.kind == "count" else None
-        self._elements: Deque[StreamElement] = deque(maxlen=maxlen)
-
-    def append(self, element: StreamElement) -> None:
-        if element.timed is None:
-            raise StorageError("cannot store an unstamped element")
-        self.schema.validate(element.values)
-        self._elements.append(element)
-        self.appended += 1
-        if self.retention.kind == "time":
-            self._evict_time(element.timed)
-
-    def _evict_time(self, reference: int) -> None:
-        cutoff = reference - self.retention.amount
-        while self._elements and self._elements[0].timed is not None \
-                and self._elements[0].timed <= cutoff:
-            self._elements.popleft()
-
-    def _retained(self, now: Optional[int]):
-        if self.retention.kind != "time":
-            return list(self._elements)
-        if now is None:
-            now = self._elements[-1].timed if self._elements else 0
-        cutoff = now - self.retention.amount
-        return [e for e in self._elements
-                if e.timed is not None and cutoff < e.timed <= now]
-
-    def relation(self, now: Optional[int] = None) -> Relation:
-        rows = (
-            tuple(element.get(field) for field in self.schema.field_names)
-            + (element.timed,)
-            for element in self._retained(now)
-        )
-        return Relation(self.columns, rows)
-
-    def count(self, now: Optional[int] = None) -> int:
-        return len(self._retained(now))
-
-    def latest(self) -> Optional[StreamElement]:
-        return self._elements[-1] if self._elements else None
+    """A stream table with no durable copy."""
 
 
 class MemoryStorage(StorageBackend):
@@ -68,4 +21,5 @@ class MemoryStorage(StorageBackend):
 
     def _make_table(self, name: str, schema: StreamSchema,
                     retention: RetentionPolicy) -> StreamTable:
-        return MemoryStreamTable(name, schema, retention)
+        return MemoryStreamTable(name, schema, retention,
+                                 new_lock("MemoryStreamTable._lock"))

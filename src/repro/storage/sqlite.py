@@ -2,24 +2,23 @@
 
 Plays the role MySQL plays in the original GSN: virtual sensors declaring
 ``permanent-storage="true"`` have their output streams written to an
-SQLite database (on disk or ``:memory:``). Besides the standard
+SQLite database (on disk or ``:memory:``), behind the rows every stream
+table holds in memory. Besides the standard
 :class:`~repro.storage.base.StreamTable` interface, the backend exposes
-:meth:`SQLiteStorage.execute_sql` so benchmarks can compare the scratch SQL
-engine against SQLite on the same window contents.
+:meth:`SQLiteStorage.execute_sql` as a reference to check those rows and
+the scratch SQL engine against.
 """
 
 from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Optional
 
 from repro.concurrency import new_lock
 from repro.datatypes import DataType
 from repro.exceptions import StorageError
 from repro.sqlengine.relation import Relation
 from repro.storage.base import RetentionPolicy, StorageBackend, StreamTable
-from repro.streams.element import StreamElement
 from repro.streams.schema import StreamSchema
 
 _SQLITE_TYPES = {
@@ -33,11 +32,15 @@ _SQLITE_TYPES = {
 
 
 class SQLiteStreamTable(StreamTable):
+    """A write-through durable sink behind the retained rows: an append
+    is inserted, evicted and committed before it joins them. They are
+    loaded once, at create (a released table reattaches to its data)."""
+
     def __init__(self, name: str, schema: StreamSchema,
                  retention: RetentionPolicy,
                  connection: sqlite3.Connection,
                  lock: threading.Lock) -> None:
-        super().__init__(name, schema, retention)
+        super().__init__(name, schema, retention, lock)
         self._connection = connection  # guarded-by: SQLiteStreamTable._lock
         # The storage backend's own lock, shared by all of its tables —
         # statically named both SQLiteStreamTable._lock and
@@ -47,6 +50,9 @@ class SQLiteStreamTable(StreamTable):
             f'"{field.name}" {_SQLITE_TYPES[field.type]}'
             for field in schema
         )
+        column_list = ", ".join(f'"{c}"' for c in self.columns)
+        booleans = {i for i, field in enumerate(schema)
+                    if field.type is DataType.BOOLEAN}
         with self._lock:
             self._connection.execute(
                 f'CREATE TABLE IF NOT EXISTS "{name}" '
@@ -57,41 +63,35 @@ class SQLiteStreamTable(StreamTable):
                 f'CREATE INDEX IF NOT EXISTS "idx_{name}_timed" '
                 f'ON "{name}" ("timed")'
             )
+            self._evict()  # the stored rows may predate this retention
             # The lock exists to serialize exactly this: statement plus
             # commit as one atomic unit on the shared connection.
             self._connection.commit()  # gsn-lint: disable=GSN502
-        self._insert_sql = (
-            f'INSERT INTO "{name}" ('
-            + ", ".join(f'"{c}"' for c in self.columns)
-            + ") VALUES ("
-            + ", ".join("?" for __ in self.columns)
-            + ")"
-        )
+            stored = self._connection.execute(
+                f'SELECT {column_list} FROM "{name}" ORDER BY _seq')
+            self._load([
+                tuple(bool(value) if position in booleans
+                      and value is not None else value
+                      for position, value in enumerate(row))
+                for row in stored])
+        self._insert_sql = (f'INSERT INTO "{name}" ({column_list}) '
+                            f'VALUES ({", ".join("?" * len(self.columns))})')
 
-    def append(self, element: StreamElement) -> None:
-        if element.timed is None:
-            raise StorageError("cannot store an unstamped element")
-        values = self.schema.validate(element.values)
-        row = [
-            int(v) if isinstance(v, bool) else v
-            for v in (values[field] for field in self.schema.field_names)
-        ]
-        row.append(element.timed)
-        with self._lock:
-            self._connection.execute(self._insert_sql, row)
-            self.appended += 1
-            self._evict(element.timed)
-            # Insert + evict + commit must be one atomic unit on the
-            # shared connection; committing outside would interleave
-            # with other tables' statements. Durability cost is bounded
-            # (single row) and the lock is leaf-level in LOCK_ORDER.
-            self._connection.commit()  # gsn-lint: disable=GSN502
+    def _persist(self, row: tuple) -> None:  # requires-lock: _lock
+        self._connection.execute(self._insert_sql, row)
+        self._evict()
+        # Insert + evict + commit must be one atomic unit on the
+        # shared connection; committing outside would interleave
+        # with other tables' statements. Durability cost is bounded
+        # (single row) and the lock is leaf-level in LOCK_ORDER.
+        self._connection.commit()  # gsn-lint: disable=GSN502
 
-    def _evict(self, reference: int) -> None:  # requires-lock: _lock
+    def _evict(self) -> None:  # requires-lock: _lock
         if self.retention.kind == "time":
-            cutoff = reference - self.retention.amount
             self._connection.execute(
-                f'DELETE FROM "{self.name}" WHERE "timed" <= ?', (cutoff,)
+                f'DELETE FROM "{self.name}" WHERE "timed" <= '
+                f'(SELECT MAX("timed") FROM "{self.name}") - ?',
+                (self.retention.amount,),
             )
         elif self.retention.kind == "count":
             self._connection.execute(
@@ -100,49 +100,6 @@ class SQLiteStreamTable(StreamTable):
                 f"ORDER BY _seq DESC LIMIT 1 OFFSET ?)",
                 (self.retention.amount,),
             )
-
-    def _where(self, now: Optional[int]) -> str:
-        if self.retention.kind == "time" and now is not None:
-            cutoff = now - self.retention.amount
-            return f'WHERE "timed" > {cutoff} AND "timed" <= {now}'
-        return ""
-
-    def relation(self, now: Optional[int] = None) -> Relation:
-        column_list = ", ".join(f'"{c}"' for c in self.columns)
-        sql = (f'SELECT {column_list} FROM "{self.name}" '
-               f"{self._where(now)} ORDER BY _seq")
-        with self._lock:
-            cursor = self._connection.execute(sql)
-            rows = cursor.fetchall()
-        decoded = [
-            tuple(
-                bool(value) if self.schema[column].type is DataType.BOOLEAN
-                and value is not None else value
-                for column, value in zip(self.columns[:-1], row[:-1])
-            ) + (row[-1],)
-            for row in rows
-        ]
-        return Relation(self.columns, decoded)
-
-    def count(self, now: Optional[int] = None) -> int:
-        sql = f'SELECT COUNT(*) FROM "{self.name}" {self._where(now)}'
-        with self._lock:
-            return self._connection.execute(sql).fetchone()[0]
-
-    def latest(self) -> Optional[StreamElement]:
-        column_list = ", ".join(f'"{c}"' for c in self.columns)
-        sql = (f'SELECT {column_list} FROM "{self.name}" '
-               f"ORDER BY _seq DESC LIMIT 1")
-        with self._lock:
-            row = self._connection.execute(sql).fetchone()
-        if row is None:
-            return None
-        values = {}
-        for column, value in zip(self.columns[:-1], row[:-1]):
-            if self.schema[column].type is DataType.BOOLEAN and value is not None:
-                value = bool(value)
-            values[column] = value
-        return StreamElement(values, timed=row[-1], producer=self.name)
 
 
 class SQLiteStorage(StorageBackend):
@@ -172,8 +129,9 @@ class SQLiteStorage(StorageBackend):
     def execute_sql(self, sql: str) -> Relation:
         """Run arbitrary (read-only) SQL directly on the database.
 
-        Used by the ablation benchmark comparing the scratch engine with
-        SQLite, and available to applications that prefer SQLite semantics.
+        Stream-table reads never come here: this is the reference the
+        ablation benchmark compares the scratch engine against and the
+        tests check the retained rows against.
         """
         with self._lock:
             try:

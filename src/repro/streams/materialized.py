@@ -178,9 +178,7 @@ class WindowRelation(Relation, WindowObserver):
     def snapshot(self) -> Relation:
         """A frozen point-in-time copy (used when pipelines run on pool
         threads, where the live view could mutate mid-query)."""
-        clone = Relation(self.columns)
-        clone.rows = list(self.rows)
-        return clone
+        return Relation.adopt(self.columns, list(self.rows))
 
     def pretty(self, limit: int = 20) -> str:
         # Relation.pretty slices rows; deques don't slice.

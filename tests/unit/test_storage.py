@@ -1,15 +1,21 @@
 """Unit tests for the storage layer: backends, retention, manager."""
 
+import sqlite3
+import sys
+import threading
+
 import pytest
 
 from repro.datatypes import DataType
 from repro.exceptions import StorageError
-from repro.storage.base import RetentionPolicy
+from repro.storage.base import RetentionPolicy, StreamTable
 from repro.storage.manager import StorageManager, safe_table_name
 from repro.storage.memory import MemoryStorage
 from repro.storage.sqlite import SQLiteStorage
 from repro.streams.element import StreamElement
 from repro.streams.schema import StreamSchema
+
+from tests.conftest import simple_mote_descriptor
 
 SCHEMA = StreamSchema.build(v=DataType.INTEGER, tag=DataType.VARCHAR)
 
@@ -81,6 +87,23 @@ class TestStreamTables:
         table.append(element(1_050))
         assert table.count(now=1_060) == 2
 
+    def test_late_timestamps(self, backend):
+        """The reference is the newest retained stamp, on every backend
+        and for eviction as for reads without ``now``."""
+        table = backend.create("s", SCHEMA, RetentionPolicy("time", 10_000))
+        for stamp in (1_000, 2_000, 1_500):
+            table.append(element(stamp))
+        assert [row[2] for row in table.relation().rows] == \
+            [1_000, 2_000, 1_500]
+        assert table.count() == 3
+        assert [row[2] for row in table.relation(now=1_500).rows] == \
+            [1_000, 1_500]
+        table.append(element(11_600))  # evicts 1000 and 1500, not 2000
+        assert [row[2] for row in table.relation().rows] == [2_000, 11_600]
+        table.append(element(1_600))  # late, at the bound: evicted
+        assert [row[2] for row in table.relation().rows] == [2_000, 11_600]
+        assert table.latest().timed == 11_600
+
     def test_latest(self, backend):
         table = backend.create("s", SCHEMA)
         assert table.latest() is None
@@ -112,6 +135,41 @@ class TestStreamTables:
         table = backend.create("s", SCHEMA)
         table.append(StreamElement({"v": None, "tag": None}, timed=9))
         assert table.relation().rows == [(None, None, 9)]
+
+
+class TestMemoryTableConcurrency:
+    def test_reads_beside_appends(self):
+        """Time-retention reads copy the rows under the table lock, so a
+        reader never sees the history change mid-read."""
+        table = MemoryStorage().create("s", SCHEMA,
+                                       RetentionPolicy("time", 50))
+        errors = []
+        done = threading.Event()
+
+        def write():
+            for stamp in range(20_000):
+                table.append(element(stamp))
+            done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writer = threading.Thread(target=write)
+            writer.start()
+            for __ in range(2_000):
+                try:
+                    table.relation(now=10_000)
+                    table.count()
+                except RuntimeError as exc:
+                    errors.append(exc)
+                if done.is_set():
+                    break
+            writer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert errors == []
+        assert table.count() == 50
 
 
 class TestSQLiteSpecifics:
@@ -159,7 +217,46 @@ class TestSQLiteSpecifics:
         reopened = SQLiteStorage(path)
         reloaded = reopened.create("s", SCHEMA)  # CREATE IF NOT EXISTS
         assert reloaded.relation().rows == [(42, "x", 1)]
+
+        # Release, then re-create: the rows come back from the file as
+        # they were, BOOLEAN decoded and the late row in arrival order.
+        schema = StreamSchema.build(flag=DataType.BOOLEAN,
+                                    v=DataType.DOUBLE)
+        table = reopened.create("t", schema, RetentionPolicy("time", 100))
+        for stamp, flag in ((1_000, True), (1_090, None), (1_050, False)):
+            table.append(StreamElement({"flag": flag, "v": 1}, timed=stamp))
+        before = table.relation().rows
+        reopened.release("t")
+        again = reopened.create("t", schema, RetentionPolicy("time", 100))
+        assert again.relation().rows == before
+        assert [type(row[0]) for row in before] == [bool, type(None), bool]
+        again.append(StreamElement({"flag": True}, timed=1_151))
+        # The late 1050 goes although it sits after 1090, which stays.
+        assert [row[2] for row in again.relation().rows] == [1_090, 1_151]
+        assert again.appended == 1
         reopened.close()
+
+    def test_recreate_applies_the_new_retention(self, tmp_path):
+        store = SQLiteStorage(str(tmp_path / "gsn.db"))
+        table = store.create("s", SCHEMA)
+        for i in range(5):
+            table.append(element(i, i))
+        store.release("s")
+        again = store.create("s", SCHEMA, RetentionPolicy("count", 2))
+        assert [row[0] for row in again.relation().rows] == [3, 4]
+        assert store.execute_sql("select count(*) as n from s").rows == \
+            [(2,)]
+        store.close()
+
+    def test_failed_write_leaves_rows(self):
+        store = SQLiteStorage(":memory:")
+        table = store.create("s", SCHEMA, RetentionPolicy("count", 2))
+        table.append(element(1, 10))
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            table.append(element(2, 20))
+        assert table.relation().rows == [(10, "x", 1)]
+        assert table.appended == 1
 
 
 class TestSafeTableName:
@@ -197,6 +294,38 @@ class TestStorageManager:
         catalog = manager.catalog()
         assert catalog.get("s").rows == [(5, "x", 1)]
         manager.close()
+
+    def test_catalog_snapshots_once_per_table(self):
+        manager = StorageManager()
+        table = manager.create_stream("s", SCHEMA)
+        manager.create_stream("unread", SCHEMA)
+        table.append(element(1, 5))
+        catalog = manager.catalog()
+        assert catalog.table_names() == ["s", "unread"]
+        first = catalog.get("S")
+        table.append(element(2, 6))
+        assert catalog.get("s") is first
+        assert first.rows == [(5, "x", 1)]
+        assert manager.catalog().get("s").rows == [(5, "x", 1),
+                                                   (6, "x", 2)]
+        manager.close()
+
+    def test_arrival_snapshots_only_the_subscribed_table(
+            self, container, monkeypatch):
+        for index in range(16):
+            container.deploy(simple_mote_descriptor(name=f"m{index}"))
+        subscription = container.register_query(
+            "select count(*) as n from vs_m3")
+        read = []
+        relation = StreamTable.relation
+
+        def counting(table, now=None):
+            read.append(table.name)
+            return relation(table, now)
+        monkeypatch.setattr(StreamTable, "relation", counting)
+        container.run_for(5_000)
+        assert subscription.notifications_sent > 0
+        assert read == ["vs_m3"] * subscription.notifications_sent
 
     def test_drop_stream(self):
         manager = StorageManager()
