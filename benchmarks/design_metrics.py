@@ -15,8 +15,10 @@ tree says, not what a run happened to touch:
 - ``env_names``: the ``GSN_*`` environment variables read through
   ``os.environ`` / ``os.getenv`` anywhere in ``src/``, ``tests/`` and
   ``benchmarks/``;
-- ``incremental_parameters``: function parameters named
-  ``incremental`` in ``src/repro``.
+- ``incremental_parameters``: function parameters, attribute stores
+  and annotated fields named ``incremental`` in ``src/repro``. The
+  per-sensor ``incremental=`` knob is deleted (sums are exact on every
+  path); the recorded 0 is the ceiling that keeps it from returning.
 
 ``python benchmarks/design_metrics.py`` re-records the file (never edit
 it by hand); ``check_micro.py`` fails when a count exceeds the recorded
@@ -104,6 +106,12 @@ def measure() -> Dict[str, object]:
                     1 for arg in (args.posonlyargs + args.args
                                   + args.kwonlyargs)
                     if arg.arg == "incremental")
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                incremental += node.attr == "incremental"
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                incremental += node.target.id == "incremental"
         suppressions += _suppressions(path)
     lines["total"] = sum(lines.values())
     env_names = set()

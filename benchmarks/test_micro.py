@@ -137,8 +137,18 @@ def _sensor_descriptor(source_specs, stream_query, output_fields=None):
     )
 
 
-def _build_sensor(descriptor, aliases, incremental,
-                  producer=None, schema=None):
+class _WholeWindowSensor(VirtualSensor):
+    """A sensor that attaches no delta state: every query folds the
+    whole window on each trigger."""
+
+    def _attach_fast_path(self, stream_name, source):
+        pass
+
+    def _attach_join(self, stream_name, runtime):
+        pass
+
+
+def _build_sensor(descriptor, aliases, delta, producer=None, schema=None):
     clock = VirtualClock(1_000_000)
     wrappers = {}
     for alias in aliases:
@@ -150,8 +160,8 @@ def _build_sensor(descriptor, aliases, incremental,
         wrappers[alias] = wrapper
     table = MemoryStorage().create("out", descriptor.output_structure,
                                    RetentionPolicy("count", 1_000))
-    sensor = VirtualSensor(descriptor, clock, wrappers,
-                           output_table=table, incremental=incremental)
+    sensor_class = VirtualSensor if delta else _WholeWindowSensor
+    sensor = sensor_class(descriptor, clock, wrappers, output_table=table)
     sensor.start()
     return sensor, wrappers, clock
 
@@ -170,19 +180,18 @@ def _interpreted():
         sensor_module.run_plan = compiled
 
 
-def _per_trigger_seconds(descriptor, aliases, incremental,
+def _per_trigger_seconds(descriptor, aliases, delta,
                          fire, warmup=1_000, ticks=200,
                          producer=None, schema=None):
     """Mean wall-clock seconds of one trigger after the window is full.
 
-    ``incremental=False`` is the reference every cell is timed against:
-    no delta states, and every query interpreted on every trigger."""
-    sensor, wrappers, clock = _build_sensor(descriptor, aliases,
-                                            incremental,
+    ``delta=False`` is the reference every cell is timed against: no
+    delta states, and every query interpreted on every trigger."""
+    sensor, wrappers, clock = _build_sensor(descriptor, aliases, delta,
                                             producer=producer,
                                             schema=schema)
     firing = [wrappers[alias] for alias in fire]
-    with nullcontext() if incremental else _interpreted():
+    with nullcontext() if delta else _interpreted():
         for _ in range(warmup):
             clock.advance(1)
             for wrapper in wrappers.values():

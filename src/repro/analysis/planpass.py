@@ -51,7 +51,7 @@ from repro.sqlengine.executor import _truthy
 from repro.sqlengine.explain import expression_to_sql, explain_plan
 from repro.sqlengine.incremental import (
     Classified, GroupedAggregateQuery, IdentityQuery, INELIGIBILITY_REASONS,
-    REASON_CONSTANT_SOURCE, REASON_DISABLED, REASON_DISTINCT,
+    REASON_CONSTANT_SOURCE, REASON_DISTINCT,
     REASON_EXPRESSION_ARGUMENT, REASON_HAVING,
     REASON_JOIN, REASON_LIMIT_OFFSET, REASON_NON_INCREMENTAL_FUNCTION,
     REASON_ORDER_BY, REASON_PROJECTION, REASON_SET_OPERATION,
@@ -614,8 +614,7 @@ def _eligible_detail(classified: Classified) -> str:
 
 
 def source_query_verdict(plan: SelectPlan, window_kind: str,
-                         wrapper_schema: Optional[RelSchema],
-                         incremental_enabled: bool = True) -> PlanVerdict:
+                         wrapper_schema: Optional[RelSchema]) -> PlanVerdict:
     """The full deploy-time verdict for one per-source query.
 
     Mirrors :meth:`VirtualSensor._attach_fast_path` exactly: identity
@@ -627,10 +626,6 @@ def source_query_verdict(plan: SelectPlan, window_kind: str,
     divisor) is rejected as ``type-risk`` so that an eligible verdict
     is a no-poison proof.
     """
-    if not incremental_enabled:
-        return PlanVerdict(False, REASON_DISABLED,
-                           "the incremental pipeline is disabled for "
-                           "this sensor")
     classified, reason = classify_with_reason(plan)
     if classified is None:
         assert reason is not None
@@ -730,8 +725,8 @@ def plan_descriptor(descriptor: VirtualSensorDescriptor,
                     report: Optional[Report] = None,
                     source: str = "",
                     wrapper_schemas=None,
-                    remote_resolver: Optional[RemoteResolver] = None,
-                    incremental: bool = True) -> DescriptorPlan:
+                    remote_resolver: Optional[RemoteResolver] = None
+                    ) -> DescriptorPlan:
     """Run gsn-plan over one descriptor.
 
     With a ``report``, GSN701–GSN705 findings are added; without one the
@@ -739,7 +734,6 @@ def plan_descriptor(descriptor: VirtualSensorDescriptor,
     ``wrapper_schemas`` (from :func:`~repro.analysis.passes.analyze`) to
     avoid re-deriving them — and re-reporting GSN108/GSN109.
     """
-    enabled = incremental and descriptor.storage.incremental
     if wrapper_schemas is None:
         wrapper_schemas = _derive_wrapper_schemas(
             descriptor, registry, Report(), source, remote_resolver
@@ -773,8 +767,7 @@ def plan_descriptor(descriptor: VirtualSensorDescriptor,
                 out_schema = infer_output_schema(
                     statement, {WRAPPER_TABLE: rel_schema}, Report(),
                     context, source)
-            verdict = source_query_verdict(plan, window_kind, rel_schema,
-                                           incremental_enabled=enabled)
+            verdict = source_query_verdict(plan, window_kind, rel_schema)
             annotated = annotate_plan(
                 plan,
                 table_rows=({WRAPPER_TABLE: float(elements)}
@@ -796,7 +789,7 @@ def plan_descriptor(descriptor: VirtualSensorDescriptor,
                 alias_schemas[src.alias] = out_schema
 
             if report is not None:
-                if not verdict.eligible and verdict.reason != REASON_DISABLED:
+                if not verdict.eligible:
                     report.add(
                         "GSN701",
                         f"source query ineligible for the incremental "
@@ -899,8 +892,7 @@ def _budget_finding(annotated: AnnotatedPlan, src, report: Report,
 
 
 def descriptor_verdicts(descriptor: VirtualSensorDescriptor,
-                        registry: Optional[WrapperRegistry] = None,
-                        incremental: bool = True
+                        registry: Optional[WrapperRegistry] = None
                         ) -> Dict[SourceKey, PlanVerdict]:
     """Never-raising verdict map for one descriptor.
 
@@ -909,8 +901,7 @@ def descriptor_verdicts(descriptor: VirtualSensorDescriptor,
     block a deployment, so any error degrades to "no verdicts".
     """
     try:
-        return plan_descriptor(descriptor, registry=registry,
-                               incremental=incremental).verdicts
+        return plan_descriptor(descriptor, registry=registry).verdicts
     except Exception:
         logger.exception("plan pass failed for %s; deploying without "
                          "static verdicts", descriptor.name)

@@ -76,11 +76,6 @@ class GSNContainer:
         Turns the access-control layer on (off matches the open demo).
     synchronous:
         Run pipelines inline (deterministic) instead of on pool threads.
-    incremental:
-        ``False`` attaches no running accumulators or delta joins to
-        any sensor, so every query folds the whole window on each
-        trigger; individual descriptors can also opt out via
-        ``<storage incremental="false">``.
     trace_capacity:
         Size of the ring buffer of recent pipeline span trees served at
         ``/trace`` (per-sensor sampling comes from the descriptor's
@@ -114,7 +109,6 @@ class GSNContainer:
                  seed: Optional[int] = 0,
                  clock: Optional[Clock] = None,
                  scheduler: Optional[EventScheduler] = None,
-                 incremental: bool = True,
                  trace_capacity: int = 256,
                  flight_capacity: int = 512,
                  profile_hz: float = 0.0,
@@ -173,7 +167,6 @@ class GSNContainer:
             remote_subscribe=self.peer.subscribe if self.peer else None,
             synchronous=synchronous,
             seed=seed,
-            incremental=incremental,
             node=self.name,
             metrics=self.metrics,
             trace_sink=self.traces,

@@ -42,15 +42,10 @@ class StorageConfig:
     ``history_size`` bounds how much of the output stream is kept; it is a
     window spec (``"10s"`` time-based, ``"10"`` count-based, ``None``
     unbounded).
-
-    ``incremental="false"`` attaches no running accumulators or joins
-    to this sensor: every query folds the whole window on each trigger
-    (compiled), which keeps float aggregates exact.
     """
 
     permanent: bool = False
     history_size: Optional[str] = None
-    incremental: bool = True
 
 
 @dataclass(frozen=True)

@@ -137,9 +137,7 @@ def _parse_storage(element: Optional[ET.Element]) -> StorageConfig:
         return StorageConfig()
     permanent = _bool_attr(element, "permanent-storage", default=False)
     size = element.attrib.get("size")
-    incremental = _bool_attr(element, "incremental", default=True)
-    return StorageConfig(permanent=permanent, history_size=size,
-                         incremental=incremental)
+    return StorageConfig(permanent=permanent, history_size=size)
 
 
 def _parse_predicates(element: Optional[ET.Element]) -> Dict[str, str]:
@@ -354,10 +352,6 @@ def descriptor_to_xml(descriptor: VirtualSensorDescriptor) -> str:
     )
     if descriptor.storage.history_size:
         storage_attrs += f" size={quoteattr(descriptor.storage.history_size)}"
-    if not descriptor.storage.incremental:
-        # Serialized only when non-default so round-tripping descriptors
-        # written before the flag existed stays byte-stable.
-        storage_attrs += ' incremental="false"'
     lines.append(f"  <storage{storage_attrs} />")
     if descriptor.addressing:
         lines.append("  <addressing>")

@@ -127,8 +127,97 @@ def _agg_values(values: List[Any], distinct: bool) -> List[Any]:
     return unique
 
 
+#: Every finite double is an integer multiple of 2**-1074, so a sum of
+#: doubles scaled by 2**1074 is an exact Python int.
+_SCALE_BITS = 1074
+_SCALE = 1 << _SCALE_BITS
+
+
+class ExactSum:
+    """SQL ``SUM`` as a running accumulator: the exact sum of the ints
+    and doubles added and not yet removed, rounded once on read.
+
+    All-int inputs sum to an exact int. With any double among them the
+    answer is the exact rational sum rounded to the nearest double;
+    ``inf + -inf`` or any NaN gives NaN and a sum past the double range
+    gives ±inf. Infinities and NaNs are counted, not summed, so removing
+    one retracts it exactly. Anything else raises ``TypeError``.
+    """
+
+    __slots__ = ("ints", "scaled", "floats", "pinf", "ninf", "nan")
+
+    def __init__(self) -> None:
+        self.ints: Any = 0                # exact sum of the int inputs
+        self.scaled = 0                   # finite doubles' sum * 2**1074
+        self.floats = self.pinf = self.ninf = self.nan = 0
+
+    # add and remove are written out apart: they run twice per arrival
+    # on the delta states' hot path, where a sign argument costs.
+    def add(self, value: Any) -> None:
+        if type(value) is float:
+            self.floats += 1
+            try:
+                num, den = value.as_integer_ratio()
+            except (OverflowError, ValueError):   # inf, nan
+                self._special(value, 1)
+            else:
+                self.scaled += num << (_SCALE_BITS + 1 - den.bit_length())
+        elif isinstance(value, int):
+            self.ints += value
+        else:
+            raise TypeError(f"cannot sum a {type(value).__name__}")
+
+    def remove(self, value: Any) -> None:
+        if type(value) is float:
+            self.floats -= 1
+            try:
+                num, den = value.as_integer_ratio()
+            except (OverflowError, ValueError):
+                self._special(value, -1)
+            else:
+                self.scaled -= num << (_SCALE_BITS + 1 - den.bit_length())
+        else:
+            self.ints -= value
+
+    def _special(self, value: float, sign: int) -> None:
+        if value != value:
+            self.nan += sign
+        elif value > 0:
+            self.pinf += sign
+        else:
+            self.ninf += sign
+
+    def total(self) -> Any:
+        if not self.floats:
+            return self.ints
+        if self.nan or (self.pinf and self.ninf):
+            return math.nan
+        if self.pinf or self.ninf:
+            return math.inf if self.pinf else -math.inf
+        exact = (self.ints << _SCALE_BITS) + self.scaled
+        try:
+            return exact / _SCALE         # int / int rounds correctly
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
+def _sum(values: List[Any]) -> Any:
+    if not values:
+        return None
+    try:
+        total = sum(values)
+    except OverflowError:                 # an int too large for a float
+        total = 0.0
+    if type(total) is not float:
+        return total                      # all ints: already exact
+    exact = ExactSum()
+    for value in values:
+        exact.add(value)
+    return exact.total()
+
+
 def _avg(values: List[Any]) -> Any:
-    return sum(values) / len(values) if values else None
+    return _sum(values) / len(values) if values else None
 
 
 def _stddev(values: List[Any]) -> Any:
@@ -141,7 +230,7 @@ def _variance(values: List[Any]) -> Any:
 
 AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
     "avg": _avg,
-    "sum": lambda vs: sum(vs) if vs else None,
+    "sum": _sum,
     "min": lambda vs: min(vs) if vs else None,
     "max": lambda vs: max(vs) if vs else None,
     "count": len,

@@ -44,6 +44,7 @@ from repro.sqlengine.ast_nodes import (
     has_subquery,
 )
 from repro.sqlengine.executor import _hashable, _truthy
+from repro.sqlengine.functions import ExactSum
 from repro.sqlengine.introspect import (
     dedupe_columns, expression_columns, expression_name,
 )
@@ -71,10 +72,6 @@ INCREMENTAL_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 # set doubles as the worklist for extending delta maintenance.
 
 REASON_SET_OPERATION = "set-operation"
-# Historical: plain GROUP BY now classifies (grouped accumulator maps);
-# the constant stays in the taxonomy because recorded verdicts and
-# baselines reference it, but the classifier no longer emits it.
-REASON_GROUP_BY = "group-by"
 REASON_HAVING = "having"
 REASON_ORDER_BY = "order-by"
 REASON_DISTINCT = "distinct"
@@ -86,24 +83,19 @@ REASON_WHERE = "where-clause"
 REASON_PROJECTION = "projection"
 REASON_NON_INCREMENTAL_FUNCTION = "non-incremental-function"
 REASON_EXPRESSION_ARGUMENT = "expression-argument"
-# Reasons only the deploy-time pass can decide (window + schema context).
-# ``time-window`` is historical as well: accumulators ride the window
-# observer protocol, which time windows publish too, so the plan pass
-# no longer rejects them.
-REASON_TIME_WINDOW = "time-window"
+# Reasons only the deploy-time pass can decide (schema context).
 REASON_UNKNOWN_SCHEMA = "unknown-schema"
 REASON_UNKNOWN_COLUMN = "unknown-column"
 REASON_TYPE_RISK = "type-risk"
-REASON_DISABLED = "incremental-disabled"
 
 #: Every reason string the classifier or the plan pass may report.
 INELIGIBILITY_REASONS = frozenset({
-    REASON_SET_OPERATION, REASON_GROUP_BY, REASON_HAVING, REASON_ORDER_BY,
+    REASON_SET_OPERATION, REASON_HAVING, REASON_ORDER_BY,
     REASON_DISTINCT, REASON_LIMIT_OFFSET, REASON_JOIN, REASON_SUBQUERY,
     REASON_CONSTANT_SOURCE, REASON_WHERE, REASON_PROJECTION,
     REASON_NON_INCREMENTAL_FUNCTION, REASON_EXPRESSION_ARGUMENT,
-    REASON_TIME_WINDOW, REASON_UNKNOWN_SCHEMA, REASON_UNKNOWN_COLUMN,
-    REASON_TYPE_RISK, REASON_DISABLED,
+    REASON_UNKNOWN_SCHEMA, REASON_UNKNOWN_COLUMN,
+    REASON_TYPE_RISK,
 })
 
 
@@ -131,20 +123,15 @@ class AggregateQuery:
 
 
 @dataclass(frozen=True)
-class GroupedAggregateQuery:
+class GroupedAggregateQuery(AggregateQuery):
     """A qualifying single-table GROUP BY aggregate query.
 
     ``keys`` are the GROUP BY column names (plain column references
-    only); ``items`` reuse :class:`AggregateItem` with the extra kind
-    ``"column"`` for plain column select items, which — matching the
-    interpreter's ``eval_group`` — read the group's first row.
+    only); ``items`` may carry the extra kind ``"column"`` for plain
+    column select items, which — matching the interpreter's
+    ``eval_group`` — read the group's first row.
     """
-    binding: str
     keys: Tuple[str, ...]
-    items: Tuple[AggregateItem, ...]
-    columns: Tuple[str, ...]               # output column names, deduped
-    where: Optional[Node]
-    referenced: FrozenSet[str]             # every column the query reads
 
 
 @dataclass(frozen=True)
@@ -169,12 +156,12 @@ Classified = Union[IdentityQuery, AggregateQuery, GroupedAggregateQuery]
 def classify(plan: SelectPlan) -> Optional[Classified]:
     """Decide whether ``plan`` qualifies for an incremental fast path.
 
-    Returns an :class:`IdentityQuery`, an :class:`AggregateQuery`, or
-    ``None`` when only the generic executor can answer it. The check is
-    deliberately conservative: any feature with semantics the
-    accumulators don't replicate exactly (joins, subqueries, DISTINCT,
-    GROUP BY, ORDER BY/LIMIT, expressions inside aggregates) disqualifies
-    the plan.
+    Returns an :class:`IdentityQuery`, an :class:`AggregateQuery`, a
+    :class:`GroupedAggregateQuery`, or ``None`` when only the generic
+    executor can answer it. The check is deliberately conservative: any
+    feature with semantics the accumulators don't replicate exactly
+    (joins, subqueries, DISTINCT, HAVING, ORDER BY/LIMIT, expressions
+    inside aggregates or group keys) disqualifies the plan.
     """
     return classify_with_reason(plan)[0]
 
@@ -205,9 +192,7 @@ def classify_with_reason(plan: SelectPlan
         return None, REASON_LIMIT_OFFSET
     binding = plan.source.binding
 
-    if plan.group_by:
-        return _classify_grouped(plan, binding)
-    if not plan.is_aggregate:
+    if not plan.group_by and not plan.is_aggregate:
         return _classify_identity(plan, binding)
     return _classify_aggregate(plan, binding)
 
@@ -227,48 +212,12 @@ def _classify_identity(plan: SelectPlan, binding: str
 
 
 def _classify_aggregate(plan: SelectPlan, binding: str
-                        ) -> Tuple[Optional[AggregateQuery], Optional[str]]:
-    referenced: List[str] = []
-    items: List[AggregateItem] = []
-    for item in plan.items:
-        parsed, reason = _classify_item(item, binding)
-        if parsed is None:
-            return None, reason
-        items.append(parsed)
-        if parsed.column is not None:
-            referenced.append(parsed.column)
-
-    if plan.where is not None:
-        if has_subquery(plan.where):
-            return None, REASON_SUBQUERY
-        if contains_aggregate(plan.where):
-            return None, REASON_WHERE
-        for ref in expression_columns(plan.where):
-            if ref.table is not None and ref.table != binding:
-                return None, REASON_WHERE
-            referenced.append(ref.name)
-
-    columns = dedupe_columns([
-        item.alias or expression_name(item.expression)
-        for item in plan.items
-    ])
-    return AggregateQuery(
-        binding=binding,
-        items=tuple(items),
-        columns=tuple(columns),
-        where=plan.where,
-        referenced=frozenset(referenced),
-    ), None
-
-
-def _classify_grouped(plan: SelectPlan, binding: str
-                      ) -> Tuple[Optional[GroupedAggregateQuery],
-                                 Optional[str]]:
+                        ) -> Tuple[Optional[Classified], Optional[str]]:
+    """A flat or (with GROUP BY) grouped aggregate query."""
     keys: List[str] = []
     for expr in plan.group_by:
-        if not isinstance(expr, ColumnRef):
-            return None, REASON_EXPRESSION_ARGUMENT
-        if expr.table is not None and expr.table != binding:
+        if not isinstance(expr, ColumnRef) \
+                or expr.table not in (None, binding):
             return None, REASON_EXPRESSION_ARGUMENT
         keys.append(expr.name)
 
@@ -276,15 +225,15 @@ def _classify_grouped(plan: SelectPlan, binding: str
     items: List[AggregateItem] = []
     for item in plan.items:
         expr = item.expression
-        if isinstance(expr, ColumnRef):
-            if expr.table is not None and expr.table != binding:
+        if keys and isinstance(expr, ColumnRef):
+            if expr.table not in (None, binding):
                 return None, REASON_PROJECTION
-            items.append(AggregateItem("column", expr.name))
-            referenced.append(expr.name)
-            continue
-        parsed, reason = _classify_item(item, binding)
-        if parsed is None:
-            return None, reason
+            parsed: Optional[AggregateItem] = AggregateItem("column",
+                                                            expr.name)
+        else:
+            parsed, reason = _classify_item(item, binding)
+            if parsed is None:
+                return None, reason
         items.append(parsed)
         if parsed.column is not None:
             referenced.append(parsed.column)
@@ -303,14 +252,11 @@ def _classify_grouped(plan: SelectPlan, binding: str
         item.alias or expression_name(item.expression)
         for item in plan.items
     ])
-    return GroupedAggregateQuery(
-        binding=binding,
-        keys=tuple(keys),
-        items=tuple(items),
-        columns=tuple(columns),
-        where=plan.where,
-        referenced=frozenset(referenced),
-    ), None
+    query = (binding, tuple(items), tuple(columns), plan.where,
+             frozenset(referenced))
+    if keys:
+        return GroupedAggregateQuery(*query, keys=tuple(keys)), None
+    return AggregateQuery(*query), None
 
 
 def classify_join(plan: SelectPlan) -> Optional[JoinQuery]:
@@ -385,7 +331,7 @@ class _ItemState:
     """Running accumulator for one ``count``/``sum``/``avg``/``min``/
     ``max`` item over the rows folded into it."""
 
-    __slots__ = ("kind", "position", "nonnull", "total", "extremum", "dirty")
+    __slots__ = ("kind", "position", "nonnull", "exact", "extremum", "dirty")
 
     def __init__(self, kind: str, position: Optional[int]) -> None:
         self.kind = kind
@@ -394,7 +340,8 @@ class _ItemState:
 
     def reset(self) -> None:
         self.nonnull = 0                  # non-null inputs currently included
-        self.total: Any = 0               # running sum (sum/avg)
+        self.exact: Any = (ExactSum()     # exact running sum (sum/avg)
+                           if self.kind in ("sum", "avg") else None)
         self.extremum: Any = None         # current min/max
         self.dirty = False                # extremum evicted: rescan needed
 
@@ -405,10 +352,9 @@ class _ItemState:
         self.nonnull += 1
         kind = self.kind
         if kind == "sum" or kind == "avg":
-            # Always fold into the 0-seeded total: sum() over
-            # non-numeric values must raise exactly like the
-            # interpreter's aggregate does.
-            self.total = self.total + value
+            # Raises on non-numbers: the poisoned state then leaves the
+            # query to the interpreter, which raises its own error.
+            self.exact.add(value)
         elif kind != "count" and not self.dirty:
             if self.nonnull == 1:
                 self.extremum = value
@@ -425,7 +371,7 @@ class _ItemState:
         self.nonnull -= 1
         kind = self.kind
         if kind == "sum" or kind == "avg":
-            self.total = self.total - value if self.nonnull else 0
+            self.exact.remove(value)
         elif self.nonnull == 0:
             self.extremum = None
             self.dirty = False
@@ -444,23 +390,16 @@ class _ItemState:
         if self.nonnull == 0:
             return None
         if kind == "sum":
-            return self.total
+            return self.exact.total()
         if kind == "avg":
-            return self.total / self.nonnull
+            return self.exact.total() / self.nonnull
         if self.dirty:
-            best: Any = None
-            for row in rows():
-                value = row[self.position]  # type: ignore[index]
-                if value is None:
-                    continue
-                if best is None:
-                    best = value
-                elif kind == "min":
-                    if value < best:
-                        best = value
-                elif value > best:
-                    best = value
-            self.extremum = best
+            # The interpreter's own fold: builtin min/max over the
+            # non-null values in window order.
+            position = self.position
+            self.extremum = (min if kind == "min" else max)(
+                row[position] for row in rows()  # type: ignore[index]
+                if row[position] is not None)  # type: ignore[index]
             self.dirty = False
         return self.extremum
 
@@ -523,9 +462,6 @@ class _DeltaState(RowListener):
             self._poison(exc)
         finally:
             self.updates += applied
-
-    def row_appended(self, row: Tuple[Any, ...]) -> None:
-        self.rows_extended((row,), ())
 
     def row_evicted(self, row: Tuple[Any, ...]) -> None:
         if not self.healthy:

@@ -21,8 +21,8 @@ protocols): a window evicts only once it is full, and from then on every
 admission is preceded by exactly one eviction. So the window applied the
 first ``len(appended) - len(evicted)`` appends on their own and then
 ``evicted[j]`` just before the append paired with it. :func:`in_window_order`
-replays a batch in that order; a consumer that folds floats must follow
-it to land on the same bits as per-element delivery.
+replays a batch in that order; an order-dependent consumer (extremum
+rescans, poisoning) follows it to match per-element delivery.
 
 Thread-safety: a ``WindowRelation`` has no lock of its own; it is always
 mutated from inside its window's notification calls, which the owning

@@ -61,9 +61,7 @@ def render_dashboard(container: GSNContainer) -> str:
             f"{processing['mean_ms']:.3f}",
             f"{processing['p95_ms']:.3f}",
             "yes" if doc["permanent_storage"] else "no",
-            ("off" if not incremental.get("enabled")
-             else f"{fast_hits} fast / {counters.get('legacy_queries', 0)}"
-                  f" legacy"),
+            f"{fast_hits} fast / {counters.get('legacy_queries', 0)} legacy",
             counters.get("cache_hits", 0),
         ])
 

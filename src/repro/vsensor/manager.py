@@ -44,7 +44,6 @@ class VirtualSensorManager:
                  remote_subscribe: Optional[SubscribeFunc] = None,
                  synchronous: bool = True,
                  seed: Optional[int] = None,
-                 incremental: bool = True,
                  node: str = "",
                  metrics: Optional[MetricsRegistry] = None,
                  trace_sink: Optional[TraceBuffer] = None,
@@ -56,7 +55,6 @@ class VirtualSensorManager:
         self.remote_subscribe = remote_subscribe
         self.synchronous = synchronous
         self.seed = seed
-        self.incremental = incremental
         self.node = node
         self.metrics = metrics
         self.trace_sink = trace_sink
@@ -105,8 +103,14 @@ class VirtualSensorManager:
         validate_descriptor(descriptor, known_wrapper=self._knows_wrapper)
         if strict:
             self._strict_check(descriptor)
+        return self._install(descriptor, self._build_wrappers(descriptor),
+                             start)
 
-        wrappers = self._build_wrappers(descriptor)
+    def _install(self, descriptor: VirtualSensorDescriptor,
+                 wrappers: Dict[str, Wrapper],
+                 start: bool) -> VirtualSensor:
+        """Create the output table and the runtime over built wrappers,
+        register the sensor and (optionally) start it."""
         table_name = OUTPUT_TABLE_PREFIX + descriptor.name
         output_table = self.storage.create_stream(
             table_name,
@@ -120,7 +124,6 @@ class VirtualSensorManager:
                 output_table=output_table,
                 synchronous=self.synchronous,
                 seed=self.seed,
-                incremental=self.incremental,
                 node=self.node,
                 registry=self.metrics,
                 trace_sink=self.trace_sink,
@@ -155,8 +158,7 @@ class VirtualSensorManager:
         # modules and must stay optional at runtime
         from repro.analysis.planpass import descriptor_verdicts
 
-        return descriptor_verdicts(descriptor, registry=self.registry,
-                                   incremental=self.incremental)
+        return descriptor_verdicts(descriptor, registry=self.registry)
 
     def _strict_check(self, descriptor: VirtualSensorDescriptor) -> None:
         """The ``strict=True`` pre-deploy gate.
@@ -165,12 +167,14 @@ class VirtualSensorManager:
         query-plan pass, GSN701–GSN705) over the deployed set plus the
         candidate and rejects the candidate on any error finding the
         candidate *introduces* (pre-existing findings in the running set
-        never block an unrelated deploy).
+        never block an unrelated deploy). A deployed sensor of the same
+        name is the one being replaced and is left out of the set.
         """
         from repro.analysis import analyze  # deferred: avoid import cycle
 
         with self._lock:
-            existing = [s.descriptor for s in self._sensors.values()]
+            existing = [s.descriptor for name, s in self._sensors.items()
+                        if name != descriptor.name]
         external = self.remote_subscribe is not None
         baseline = {
             (f.rule_id, f.location, f.message)
@@ -232,13 +236,17 @@ class VirtualSensorManager:
     def reconfigure(self, descriptor: VirtualSensorDescriptor,
                     strict: bool = False) -> VirtualSensor:
         """Replace a running sensor with a new descriptor atomically-ish:
-        the old instance stops only after the new descriptor validates."""
+        the old instance stops only after the new descriptor validates,
+        passes the strict check and has its wrappers built."""
         validate_descriptor(descriptor, known_wrapper=self._knows_wrapper)
+        if strict:
+            self._strict_check(descriptor)
+        wrappers = self._build_wrappers(descriptor)
         with self._lock:
             deployed = descriptor.name in self._sensors
         if deployed:
             self.undeploy(descriptor.name)
-        return self.deploy(descriptor, strict=strict)
+        return self._install(descriptor, wrappers, start=True)
 
     # -- access --------------------------------------------------------------
 

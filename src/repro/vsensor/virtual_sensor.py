@@ -70,7 +70,6 @@ class VirtualSensor:
                  output_table: Optional[StreamTable] = None,
                  synchronous: bool = True,
                  seed: Optional[int] = None,
-                 incremental: bool = True,
                  node: str = "",
                  registry: Optional[MetricsRegistry] = None,
                  trace_sink: Optional[TraceBuffer] = None,
@@ -94,11 +93,6 @@ class VirtualSensor:
                                           descriptor.lifecycle,
                                           synchronous=synchronous,
                                           events=events)
-        # Running accumulators and delta joins attach only when the
-        # container option AND the descriptor's <storage incremental="...">
-        # flag both allow them; without them every query takes the route
-        # of any shape they cannot serve (cache, compiled pipeline).
-        self.incremental = incremental and descriptor.storage.incremental
         # The live window view may only be handed to the executor when
         # nothing can mutate it mid-query: synchronous pipelines.
         self._synchronous = synchronous
@@ -162,10 +156,9 @@ class VirtualSensor:
                 stream,
                 {s.alias: self.wrappers[s.alias] for s in stream.sources},
             )
-            if self.incremental:
-                for source_runtime in runtime.sources:
-                    self._attach_fast_path(stream.name, source_runtime)
-                self._attach_join(stream.name, runtime)
+            for source_runtime in runtime.sources:
+                self._attach_fast_path(stream.name, source_runtime)
+            self._attach_join(stream.name, runtime)
         self._compile_source_plans()
 
     # -- output stream -------------------------------------------------------
@@ -720,7 +713,6 @@ class VirtualSensor:
             for stream, state in self._join_states.items()
         }
         return {
-            "enabled": self.incremental,
             "fast_paths": kinds,
             "joins": joins,
             "counters": self.fast_paths.snapshot(),

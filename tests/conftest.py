@@ -18,6 +18,7 @@ from repro.descriptors.model import (
 from repro.gsntime.clock import VirtualClock
 from repro.gsntime.scheduler import EventScheduler
 from repro.streams.schema import Field, StreamSchema
+from repro.vsensor.virtual_sensor import VirtualSensor
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -164,6 +165,19 @@ def simple_mote_descriptor(name: str = "probe", interval_ms: int = 500,
         storage=StorageConfig(permanent=permanent, history_size=history),
         addressing={"type": "temperature", "location": "lab"},
     )
+
+
+class WholeWindowSensor(VirtualSensor):
+    """A sensor that attaches no delta state (no running accumulators,
+    no delta join): every query folds the whole window on each trigger,
+    through the version-keyed cache and the compiled pipeline. The
+    reference twin the equivalence tests compare delta states with."""
+
+    def _attach_fast_path(self, stream_name, source):
+        pass
+
+    def _attach_join(self, stream_name, runtime):
+        pass
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 """Integration: on-the-fly reconfiguration and failure injection — the
 behaviours the paper's demo showcased."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import DeploymentError, ValidationError
 
 from tests.conftest import simple_mote_descriptor
 
@@ -56,6 +58,35 @@ class TestDynamicReconfiguration:
             container.reconfigure(bad)
         container.run_for(1_000)
         assert container.sensor("probe").elements_produced == 2
+
+    def test_strict_rejected_reconfigure_keeps_old_sensor(self, container):
+        container.deploy(simple_mote_descriptor(interval_ms=500))
+        container.run_for(1_000)
+        bad = simple_mote_descriptor(
+            source_query="select nosuch from wrapper")
+        with pytest.raises(DeploymentError, match="GSN101"):
+            container.reconfigure(bad, strict=True)
+        assert container.sensor_names() == ["probe"]
+        container.run_for(1_000)
+        assert container.sensor("probe").elements_produced == 4
+        assert len(container.query("select * from vs_probe")) == 4
+
+    def test_wrapper_build_failure_keeps_old_sensor(self, container):
+        container.deploy(simple_mote_descriptor(interval_ms=500))
+        container.run_for(1_000)
+        good = simple_mote_descriptor()
+        stream = good.input_streams[0]
+        source = stream.sources[0]
+        # A remote source needs a peer network this container lacks.
+        bad = replace(good, input_streams=(replace(stream, sources=(
+            replace(source, address=replace(source.address,
+                                            wrapper="remote")),)),))
+        with pytest.raises(DeploymentError, match="no peer network"):
+            container.reconfigure(bad)
+        assert container.sensor_names() == ["probe"]
+        container.run_for(1_000)
+        assert container.sensor("probe").elements_produced == 4
+        assert len(container.query("select * from vs_probe")) == 4
 
     def test_pause_resume_sensor(self, container):
         sensor = container.deploy(simple_mote_descriptor(interval_ms=500))

@@ -1,25 +1,25 @@
 """Property: the delta states change nothing but the cost.
 
-Two sensors are built from descriptors that differ only in
-``StorageConfig.incremental`` and driven through the same random
-operation sequence — emissions with jittered (out-of-order and future)
-timestamps, clock advances, disconnect/reconnect cycles — and every
-output element (values and timestamp) must match exactly. The flagged
-twin attaches no running accumulators or joins, so it answers through
-the version-keyed cache and the compiled pipeline; both are in turn
-checked, trigger by trigger, against the tree-walking interpreter over
-the rebuilt window (``SourceRuntime.window_relation``), which stays the
+Two sensors are built from the same descriptor — a default one and a
+:class:`~tests.conftest.WholeWindowSensor` twin that attaches no running
+accumulators or joins — and driven through the same random operation
+sequence: emissions with jittered (out-of-order and future) timestamps,
+clock advances, disconnect/reconnect cycles. Every output element
+(values and timestamp) must match exactly. The twin answers through the
+version-keyed cache and the compiled pipeline; both are in turn checked,
+trigger by trigger, against the tree-walking interpreter over the
+rebuilt window (``SourceRuntime.window_relation``), which stays the
 oracle: the same rows, or the same error class and message.
 
-Values are integers so sums/averages are bit-exact on every path.
+Values mix integers and doubles: sums are exact on every path, so the
+answers compare with ``==``.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import DataType
 from repro.descriptors.model import (
-    AddressSpec, InputStreamSpec, StorageConfig, StreamSourceSpec,
-    VirtualSensorDescriptor,
+    AddressSpec, InputStreamSpec, StreamSourceSpec, VirtualSensorDescriptor,
 )
 from repro.gsntime.clock import VirtualClock
 from repro.sqlengine.executor import Catalog, execute_plan
@@ -33,12 +33,16 @@ from repro.streams.schema import StreamSchema
 from repro.vsensor.virtual_sensor import VirtualSensor
 from repro.wrappers.scripted import ScriptedWrapper
 
-SCHEMA = StreamSchema.build(temperature=DataType.INTEGER,
+from tests.conftest import WholeWindowSensor
+
+SCHEMA = StreamSchema.build(temperature=DataType.DOUBLE,
                             label=DataType.VARCHAR)
 
 START = 10_000
 
-values = st.one_of(st.none(), st.integers(-50, 50))
+values = st.one_of(st.none(), st.integers(-50, 50),
+                   st.floats(-50, 50),
+                   st.sampled_from([0.1, 1e16, -1e16, 2.0 ** 60 + 1]))
 labels = st.one_of(st.none(), st.sampled_from(["t1", "t15", "x", ""]))
 jitters = st.integers(-2_500, 2_500)
 selectors = st.integers(0, 1)
@@ -54,8 +58,7 @@ operations = st.lists(
 )
 
 
-def make_descriptor(source_specs, stream_query, output_fields,
-                    incremental):
+def make_descriptor(source_specs, stream_query, output_fields):
     return VirtualSensorDescriptor(
         name="equiv",
         output_structure=StreamSchema.build(**output_fields),
@@ -71,7 +74,6 @@ def make_descriptor(source_specs, stream_query, output_fields,
             ),
             query=stream_query,
         ),),
-        storage=StorageConfig(incremental=incremental),
     )
 
 
@@ -98,7 +100,7 @@ def oracle(sensor):
             for row in execute_plan(plan, temporaries).to_dicts()]
 
 
-def run_ops(descriptor, aliases, ops):
+def run_ops(descriptor, aliases, ops, sensor_class=VirtualSensor):
     """Drive one sensor through the op sequence; return its outputs,
     the sensor and the rows it was sent. Every trigger is checked
     against the oracle as it happens."""
@@ -112,8 +114,7 @@ def run_ops(descriptor, aliases, ops):
         wrappers[alias] = wrapper
     table = MemoryStorage().create("out", descriptor.output_structure,
                                    RetentionPolicy("all"))
-    sensor = VirtualSensor(descriptor, clock, wrappers,
-                           output_table=table)
+    sensor = sensor_class(descriptor, clock, wrappers, output_table=table)
     outputs = []
     sensor.add_listener(
         lambda el, sink=outputs: sink.append((el.timed, dict(el.values)))
@@ -152,19 +153,17 @@ def run_ops(descriptor, aliases, ops):
 
 def assert_equivalent(source_specs, stream_query, output_fields, ops,
                       aliases=("src",)):
-    inc = make_descriptor(source_specs, stream_query, output_fields,
-                          incremental=True)
-    flagged = make_descriptor(source_specs, stream_query, output_fields,
-                              incremental=False)
+    inc = make_descriptor(source_specs, stream_query, output_fields)
     inc_out, inc_sensor, sent = run_ops(inc, aliases, ops)
-    flag_out, flag_sensor, __ = run_ops(flagged, aliases, ops)
-    assert inc_out == flag_out
-    assert inc_sensor.elements_produced == flag_sensor.elements_produced
-    flag_counters = flag_sensor.fast_paths.snapshot()
-    assert flag_counters["identity_hits"] == 0
-    assert flag_counters["aggregate_hits"] == 0
-    assert flag_counters["join_hits"] == 0
-    assert flag_counters["interpreted_queries"] == 0
+    twin_out, twin_sensor, __ = run_ops(inc, aliases, ops,
+                                        sensor_class=WholeWindowSensor)
+    assert inc_out == twin_out
+    assert inc_sensor.elements_produced == twin_sensor.elements_produced
+    twin_counters = twin_sensor.fast_paths.snapshot()
+    assert twin_counters["identity_hits"] == 0
+    assert twin_counters["aggregate_hits"] == 0
+    assert twin_counters["join_hits"] == 0
+    assert twin_counters["interpreted_queries"] == 0
     # A poisoned state's cause is the error the interpreter raises for
     # one of the rows sent (the state may fold a future-stamped row the
     # query at trigger time does not see yet, so not a trigger's error).
@@ -182,8 +181,8 @@ def assert_equivalent(source_specs, stream_query, output_fields, ops,
 
 
 AGG_FIELDS = {
-    "n": DataType.INTEGER, "c": DataType.INTEGER, "s": DataType.INTEGER,
-    "a": DataType.DOUBLE, "lo": DataType.INTEGER, "hi": DataType.INTEGER,
+    "n": DataType.INTEGER, "c": DataType.INTEGER, "s": DataType.DOUBLE,
+    "a": DataType.DOUBLE, "lo": DataType.DOUBLE, "hi": DataType.DOUBLE,
 }
 AGG_QUERY = (
     "select count(*) as n, count(temperature) as c, "
@@ -192,8 +191,8 @@ AGG_QUERY = (
 )
 
 GROUP_FIELDS = {
-    "temperature": DataType.INTEGER, "n": DataType.INTEGER,
-    "s": DataType.INTEGER, "lo": DataType.INTEGER,
+    "temperature": DataType.DOUBLE, "n": DataType.INTEGER,
+    "s": DataType.DOUBLE, "lo": DataType.DOUBLE,
 }
 GROUP_QUERY = (
     "select temperature, count(*) as n, sum(temperature) as s, "
@@ -261,7 +260,7 @@ class TestIncrementalEquivalence:
         assert_equivalent(
             [("src", "6", "select * from wrapper")],
             "select temperature, timed from src",
-            {"temperature": DataType.INTEGER},
+            {"temperature": DataType.DOUBLE},
             ops,
         )
 
@@ -304,7 +303,7 @@ class TestIncrementalEquivalence:
             "select a.temperature as ta, b.temperature as tb "
             "from a join b on a.temperature = b.temperature "
             "where a.temperature > -25",
-            {"ta": DataType.INTEGER, "tb": DataType.INTEGER},
+            {"ta": DataType.DOUBLE, "tb": DataType.DOUBLE},
             ops,
             aliases=("a", "b"),
         )
@@ -319,7 +318,7 @@ class TestIncrementalEquivalence:
             [("a", "3", "select min(temperature) as lo from wrapper"),
              ("b", "5", "select max(temperature) as hi from wrapper")],
             "select a.lo as lo, b.hi as hi from a, b",
-            {"lo": DataType.INTEGER, "hi": DataType.INTEGER},
+            {"lo": DataType.DOUBLE, "hi": DataType.DOUBLE},
             ops,
             aliases=("a", "b"),
         )

@@ -9,7 +9,7 @@ import pytest
 
 from repro.datatypes import DataType
 from repro.descriptors.model import (
-    AddressSpec, InputStreamSpec, StorageConfig, StreamSourceSpec,
+    AddressSpec, InputStreamSpec, StreamSourceSpec,
     VirtualSensorDescriptor,
 )
 from repro.descriptors.xml_io import descriptor_from_xml, descriptor_to_xml
@@ -362,7 +362,7 @@ class TestIncrementalJoinState:
         assert list(state.snapshot().rows) == [(1, 10, 20)]
 
 
-def build_sensor(descriptor, incremental=True, value=7):
+def build_sensor(descriptor, value=7):
     clock = VirtualClock(10_000)
     wrapper = ScriptedWrapper()
     wrapper.script(lambda now: {"temperature": value},
@@ -373,7 +373,7 @@ def build_sensor(descriptor, incremental=True, value=7):
     table = storage.create("out", descriptor.output_structure,
                            RetentionPolicy("all"))
     sensor = VirtualSensor(descriptor, clock, {"src": wrapper},
-                           output_table=table, incremental=incremental)
+                           output_table=table)
     return sensor, wrapper, clock, table
 
 
@@ -392,7 +392,6 @@ class TestFastPathCounters:
         assert counters["legacy_queries"] == 0
         assert counters["view_hits"] == 3
         doc = sensor.status()["incremental"]
-        assert doc["enabled"] is True
         assert doc["fast_paths"] == {"in/src": "aggregate"}
 
     def test_identity_path_counts_hits(self):
@@ -410,36 +409,6 @@ class TestFastPathCounters:
         assert sensor.status()["incremental"]["fast_paths"] == {
             "in/src": "identity",
         }
-
-    def test_descriptor_escape_hatch_forces_legacy(self):
-        descriptor = simple_mote_descriptor(window="10")
-        descriptor = type(descriptor)(
-            **{**descriptor.__dict__,
-               "storage": StorageConfig(permanent=True, history_size="1h",
-                                        incremental=False)}
-        )
-        sensor, wrapper, clock, table = build_sensor(descriptor)
-        sensor.start()
-        wrapper.tick()
-        assert table.latest()["temperature"] == 7
-        counters = sensor.fast_paths.snapshot()
-        assert counters["legacy_queries"] == 1
-        assert counters["aggregate_hits"] == 0
-        # No delta state: the source query takes the compiled route,
-        # beside the output query.
-        assert counters["compiled_queries"] == 2
-        assert sensor.status()["incremental"]["enabled"] is False
-        assert sensor.status()["incremental"]["fast_paths"] == {}
-
-    def test_container_escape_hatch_forces_legacy(self):
-        descriptor = simple_mote_descriptor(window="10")
-        sensor, wrapper, clock, table = build_sensor(descriptor,
-                                                     incremental=False)
-        sensor.start()
-        wrapper.tick()
-        assert sensor.fast_paths.snapshot()["legacy_queries"] == 1
-        assert sensor.fast_paths.snapshot()["compiled_queries"] == 2
-        assert sensor.status()["incremental"]["enabled"] is False
 
     def test_poisoned_aggregate_falls_back_and_error_surfaces(self):
         # sum() over strings fails in the legacy engine at query time;
@@ -503,15 +472,15 @@ class TestFastPathCounters:
         assert counters["cache_misses"] == 2
 
 
-class TestFlagFoldsFloatsLikeTheWholeWindow:
-    """The one job ``incremental="false"`` keeps: a running float sum
-    drops whole values once a large one has passed through the window
-    (1e16 absorbs the 1.0 added beside it, and subtracting it back
-    leaves 0.0), while a whole-window fold does not."""
+class TestExactFloatSums:
+    """A running float sum would drop whole values once a large one has
+    passed through the window (1e16 absorbs the 1.0 added beside it,
+    and subtracting it back leaves 0.0). The delta state sums exactly,
+    so a default sensor answers what a whole-window fold answers."""
 
     QUERY = "select sum(v) as s, avg(v) as a from wrapper"
 
-    def answers(self, incremental):
+    def test_default_sensor_answers_the_whole_window_fold(self):
         descriptor = VirtualSensorDescriptor(
             name="floats",
             output_structure=StreamSchema.build(s=DataType.DOUBLE,
@@ -523,7 +492,6 @@ class TestFlagFoldsFloatsLikeTheWholeWindow:
                     query=self.QUERY, storage_size="2"),),
                 query="select * from src",
             ),),
-            storage=StorageConfig(incremental=incremental),
         )
         clock = VirtualClock(10_000)
         wrapper = ScriptedWrapper()
@@ -538,12 +506,8 @@ class TestFlagFoldsFloatsLikeTheWholeWindow:
         for value in (1e16, 1.0, 1.0):
             clock.advance(1)
             wrapper.emit({"v": value})
-        return outputs[-1], sensor
-
-    def test_flagged_sensor_answers_the_whole_window_fold(self):
-        answer, sensor = self.answers(incremental=False)
-        assert answer == (2.0, 1.0)
-        assert not sensor._agg_states
+        assert outputs[-1] == (2.0, 1.0)
+        assert sensor.fast_paths.snapshot()["aggregate_hits"] == 3
         window = sensor.ism.stream("in").source("src").window_relation()
         assert execute_plan(plan(self.QUERY), Catalog({
             "wrapper": window})).rows == [(2.0, 1.0)]
@@ -554,17 +518,24 @@ class TestDescriptorFlag:
         descriptor = simple_mote_descriptor()
         xml = descriptor_to_xml(descriptor)
         assert "incremental" not in xml
-        assert descriptor_from_xml(xml).storage.incremental is True
+        assert descriptor_from_xml(xml) == descriptor
 
-    def test_disabled_serialized_and_roundtrips(self):
-        descriptor = simple_mote_descriptor()
-        descriptor = type(descriptor)(
-            **{**descriptor.__dict__,
-               "storage": StorageConfig(incremental=False)}
-        )
-        xml = descriptor_to_xml(descriptor)
-        assert 'incremental="false"' in xml
-        assert descriptor_from_xml(xml).storage.incremental is False
+    def test_obsolete_flag_is_ignored(self):
+        # Descriptors written while <storage incremental="false"> was an
+        # option still parse and deploy, with delta states attached.
+        xml = descriptor_to_xml(simple_mote_descriptor(window="10"))
+        old = xml.replace("<storage ", '<storage incremental="false" ')
+        assert old != xml
+        descriptor = descriptor_from_xml(old)
+        assert descriptor == descriptor_from_xml(xml)
+        assert "incremental" not in descriptor_to_xml(descriptor)
+        sensor, wrapper, clock, table = build_sensor(descriptor)
+        sensor.start()
+        wrapper.tick()
+        assert table.latest()["temperature"] == 7
+        assert sensor.fast_paths.snapshot()["aggregate_hits"] == 1
+        assert sensor.status()["incremental"]["fast_paths"] == {
+            "in/src": "aggregate"}
 
 
 class TestFromDicts:

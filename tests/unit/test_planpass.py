@@ -20,7 +20,7 @@ from repro.descriptors.xml_io import (
     descriptor_from_file, descriptor_line_index,
 )
 from repro.sqlengine.incremental import (
-    REASON_DISABLED, REASON_JOIN, REASON_ORDER_BY,
+    REASON_JOIN, REASON_ORDER_BY,
     REASON_TYPE_RISK, REASON_UNKNOWN_COLUMN, REASON_UNKNOWN_SCHEMA,
     REASON_WHERE,
 )
@@ -187,12 +187,6 @@ class TestVerdicts:
         assert verdict.reason == REASON_ORDER_BY
         assert verdict.proven
 
-    def test_disabled_is_not_proven(self):
-        verdict = source_query_verdict(
-            plan("select * from wrapper"), "count", MOTE,
-            incremental_enabled=False)
-        assert verdict.reason == REASON_DISABLED
-
     def test_unknown_schema_is_not_a_proof(self):
         verdict = source_query_verdict(
             plan("select avg(temperature) as t from wrapper"),
@@ -275,12 +269,6 @@ class TestPlanDescriptor:
         broken = simple_mote_descriptor(source_query="select !! nonsense")
         assert descriptor_verdicts(broken,
                                    registry=default_registry()) == {}
-
-    def test_incremental_disabled_propagates(self):
-        descriptor = simple_mote_descriptor(window="100")
-        verdicts = descriptor_verdicts(
-            descriptor, registry=default_registry(), incremental=False)
-        assert verdicts[("in", "src")].reason == REASON_DISABLED
 
 
 BAD = "examples/bad"
