@@ -4,12 +4,12 @@
 the questions the lock-graph analysis needs:
 
 - which classes/functions exist, and who overrides what (so a call
-  through an abstract base like ``SlidingWindow.append`` fans out to
+  through an abstract base like ``Wrapper.start`` fans out to
   every concrete implementation);
 - the inferred class of ``self.<attr>`` receivers — from ``AnnAssign``
   annotations, constructor calls in ``__init__``, annotated parameters
   assigned to attributes, and factory calls with return annotations
-  (``make_window() -> SlidingWindow``);
+  (``WrapperRegistry.create() -> Wrapper``);
 - where locks live.  A lock is an attribute or module global assigned
   ``threading.Lock()``/``RLock()`` or
   :func:`repro.concurrency.new_lock`.  Locks get stable class-qualified
@@ -229,7 +229,7 @@ class DeclaredEdge:
 def annotation_class(node: Optional[ast.AST]) -> Optional[str]:
     """Best-effort class name out of a type annotation.
 
-    ``Optional["SlidingWindow"]`` → ``"SlidingWindow"``; containers
+    ``Optional["RowHistory"]`` → ``"RowHistory"``; containers
     (``List[...]``, ``Dict[...]``) yield ``None`` — element types are
     deliberately not propagated (see module docstring).
     """

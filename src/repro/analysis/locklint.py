@@ -53,7 +53,7 @@ SELF_CHECK_MODULES = (
     "vsensor/pool.py",
     "vsensor/input_manager.py",
     "storage/sqlite.py",
-    "streams/materialized.py",
+    "streams/history.py",
     "sqlengine/incremental.py",
     "metrics/collectors.py",
     "metrics/registry.py",

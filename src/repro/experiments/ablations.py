@@ -4,7 +4,7 @@ Each ablation isolates one mechanism and compares the system with it
 on/off (or across its alternatives):
 
 - storage backend: in-memory vs SQLite persistence cost per element
-- window type: time- vs count-window maintenance cost
+- window type: time- vs count-retention history maintenance cost
 - plan cache: repeated-query compilation cost with and without the cache
 - pool size: synchronous vs threaded pools for the pipeline
 - SQL backend: the scratch engine vs SQLite executing the same window query
@@ -20,12 +20,11 @@ from repro.gsntime.clock import VirtualClock
 from repro.query.plan_cache import PlanCache
 from repro.simulation.workload import QueryWorkloadGenerator
 from repro.sqlengine.executor import Catalog, execute
-from repro.storage.base import RetentionPolicy
 from repro.storage.memory import MemoryStorage
 from repro.storage.sqlite import SQLiteStorage
 from repro.streams.element import StreamElement
+from repro.streams.history import RetentionPolicy, RowHistory
 from repro.streams.schema import StreamSchema
-from repro.streams.window import CountWindow, TimeWindow
 from repro.datatypes import DataType
 
 
@@ -73,24 +72,21 @@ def ablate_storage_backend(elements: int = 2_000,
 
 
 def ablate_window_type(elements: int = 20_000) -> AblationResult:
-    """Maintenance cost: time window vs count window of similar extent."""
-    batch = _elements(elements, 16)
+    """Maintenance cost of an input window's history: time vs count
+    retention of similar extent, admitting and reading every element."""
+    fields = _payload_schema().field_names
+    rows = [element.as_tuple(fields) for element in _elements(elements, 16)]
     variants: Dict[str, float] = {}
-
-    count_window = CountWindow(1_000)
-    started = time.perf_counter()
-    for element in batch:
-        count_window.append(element)
-        count_window.contents()
-    variants["count"] = (time.perf_counter() - started) * 1000.0 / elements
-
-    time_window = TimeWindow(10_000)  # ~1000 elements at 10 ms spacing
-    started = time.perf_counter()
-    for element in batch:
-        time_window.append(element)
-        time_window.contents()
-    variants["time"] = (time.perf_counter() - started) * 1000.0 / elements
-
+    # ~1000 rows either way: a time span of 10 s at 10 ms spacing.
+    for label, retention in (("count", RetentionPolicy("count", 1_000)),
+                             ("time", RetentionPolicy("time", 10_000))):
+        history = RowHistory(fields, retention)
+        started = time.perf_counter()
+        for row in rows:
+            history.append(row)
+            relation, __ = history.view(row[-1])
+            list(relation.rows)  # what a pool-mode read copies
+        variants[label] = (time.perf_counter() - started) * 1000.0 / elements
     return AblationResult("window_type(ms/element)", variants)
 
 

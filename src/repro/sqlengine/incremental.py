@@ -5,8 +5,8 @@ single window relation. Two common shapes don't need re-execution on
 every trigger:
 
 * **identity** — ``select * from wrapper``: the answer *is* the window
-  relation, which the incremental pipeline already maintains in place
-  (:mod:`repro.streams.materialized`).
+  relation, which the window's history already maintains in place
+  (:mod:`repro.streams.history`).
 * **simple aggregates** — ``select avg(v), count(*) from wrapper
   [where <row predicate>]``: every aggregate in ``count/sum/avg/min/max``
   is maintainable under the window's append/evict deltas with O(1) work
@@ -16,7 +16,7 @@ every trigger:
 :func:`classify` inspects a compiled :class:`SelectPlan` and reports
 which shape (if any) applies; :class:`IncrementalAggregateState` and
 :class:`GroupedAggregateState` are the running accumulators, fed row
-deltas by a :class:`~repro.streams.materialized.WindowRelation`. A
+deltas by a :class:`~repro.streams.history.RowHistory`. A
 WHERE clause is compiled with the pipeline's ``_Emitter``
 (:mod:`repro.sqlengine.physical`) over the window's row layout.
 
@@ -54,9 +54,7 @@ from repro.sqlengine.planner import (
     SubqueryScanPlan,
 )
 from repro.sqlengine.relation import Relation
-from repro.streams.materialized import (
-    RowListener, WindowRelation, in_window_order,
-)
+from repro.streams.history import RowHistory, RowListener, in_window_order
 
 logger = logging.getLogger("repro.sqlengine.incremental")
 
@@ -419,7 +417,7 @@ class _DeltaState(RowListener):
     time.
     """
 
-    def __init__(self, spec: Any, relation: WindowRelation, label: str,
+    def __init__(self, spec: Any, relation: RowHistory, label: str,
                  on_poison: Optional[Callable[[BaseException], None]]
                  ) -> None:
         self.spec = spec
@@ -532,7 +530,7 @@ class IncrementalAggregateState(_DeltaState):
     a row count plus one :class:`_ItemState` per other item."""
 
     def __init__(self, spec: AggregateQuery,
-                 relation: WindowRelation,
+                 relation: RowHistory,
                  label: str = "",
                  on_poison: Optional[Callable[[BaseException], None]] = None
                  ) -> None:
@@ -633,7 +631,7 @@ class GroupedAggregateState(_DeltaState):
     """
 
     def __init__(self, spec: GroupedAggregateQuery,
-                 relation: WindowRelation,
+                 relation: RowHistory,
                  label: str = "",
                  on_poison: Optional[Callable[[BaseException], None]] = None
                  ) -> None:
@@ -750,7 +748,7 @@ class IncrementalJoinState:
     """
 
     def __init__(self, spec: JoinQuery,
-                 left: WindowRelation, right: WindowRelation,
+                 left: RowHistory, right: RowHistory,
                  label: str = "",
                  on_poison: Optional[Callable[[BaseException], None]] = None
                  ) -> None:

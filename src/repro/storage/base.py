@@ -3,7 +3,8 @@
 A backend manages *stream tables*: append-only sequences of stream elements
 with a retention bound (time- or count-based, mirroring GSN's
 ``<storage size="...">`` directive). Every table keeps its retained rows
-in memory and reads materialize them to a
+in a :class:`~repro.streams.history.RowHistory` — the structure input
+windows use too — and reads copy them to a
 :class:`~repro.sqlengine.relation.Relation`, whatever the backend; a
 persistent backend is a write-through sink behind those rows.
 """
@@ -12,16 +13,13 @@ from __future__ import annotations
 
 import abc
 import threading
-from collections import deque
-from dataclasses import dataclass
-from itertools import islice
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.datatypes import DataType
 from repro.exceptions import StorageError
-from repro.gsntime.duration import parse_window_spec
 from repro.sqlengine.relation import Relation
 from repro.streams.element import StreamElement
+from repro.streams.history import RetentionPolicy, RowHistory
 from repro.streams.schema import StreamSchema
 
 Row = Tuple[Any, ...]
@@ -33,36 +31,12 @@ _DURABLE: Dict[DataType, Callable[[Any], Any]] = {
 }
 
 
-@dataclass(frozen=True)
-class RetentionPolicy:
-    """How long a stream table keeps elements.
-
-    ``kind`` is ``"count"`` (keep the last N), ``"time"`` (keep the last
-    span milliseconds, judged against element timestamps) or ``"all"``.
-    """
-
-    kind: str
-    amount: int = 0
-
-    @classmethod
-    def parse(cls, spec: Optional[str]) -> "RetentionPolicy":
-        if spec is None or spec.strip().lower() in ("", "all", "unbounded"):
-            return cls("all")
-        kind, amount = parse_window_spec(spec)
-        return cls(kind, amount)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("count", "time", "all"):
-            raise StorageError(f"unknown retention kind {self.kind!r}")
-        if self.kind != "all" and self.amount <= 0:
-            raise StorageError("retention amount must be positive")
-
-
 class StreamTable:
-    """One stream table: its retained rows ``(fields..., timed)`` in
-    append order, in the form SQLite stores them, which every read
-    copies. Time retention evicts each row stamped at or before the
-    newest retained stamp minus the span, wherever it sits."""
+    """One stream table: a history of rows ``(fields..., timed)`` in the
+    form SQLite stores them, which every read copies. Each append
+    advances the history's horizon to its stamp, so time retention
+    evicts every row stamped at or before the newest stamp minus the
+    span, wherever it sits."""
 
     def __init__(self, name: str, schema: StreamSchema,
                  retention: RetentionPolicy, lock: threading.Lock) -> None:
@@ -70,7 +44,6 @@ class StreamTable:
         self.schema = schema
         self.retention = retention
         self.appended = 0
-        self.columns: Tuple[str, ...] = tuple(schema.field_names) + ("timed",)
         self._fields = tuple(schema.field_names)
         self._durable = [(i, _DURABLE[field.type])
                          for i, field in enumerate(schema)
@@ -78,11 +51,9 @@ class StreamTable:
         # An SQLite table passes its connection lock, so the durable
         # write and the rows change in one critical section.
         self._lock = lock
-        maxlen = retention.amount if retention.kind == "count" else None
-        self._rows: Deque[Row] = deque(maxlen=maxlen)  # guarded-by: StreamTable._lock
-        self._newest: Optional[int] = None  # guarded-by: StreamTable._lock
-        # False once a late row is retained: rows out of timestamp order.
-        self._ordered = True  # guarded-by: StreamTable._lock
+        self.history = RowHistory(  # guarded-by: StreamTable._lock
+            self._fields, retention)
+        self.columns = self.history.columns
 
     def append(self, element: StreamElement) -> None:
         """Store one element (must be timestamped)."""
@@ -97,60 +68,35 @@ class StreamTable:
         row = tuple(cells)
         with self._lock:
             self._persist(row)
-            self._retain(row)
+            self.appended += 1
+            self.history.extend((row,))
+            self.history.advance(element.timed)
 
     def _persist(self, row: Row) -> None:  # requires-lock: _lock
         """Make ``row`` durable; if this raises, nothing is retained."""
 
     def _load(self, rows: List[Row]) -> None:  # requires-lock: _lock
         """Adopt rows the backend already retains, oldest first."""
-        self._rows.extend(rows)
-        if self.retention.kind == "time" and rows:
-            self._newest = max(row[-1] for row in rows)
-            self._ordered = False  # checked at the next append
-
-    def _retain(self, row: Row) -> None:  # requires-lock: _lock
-        self.appended += 1
-        rows = self._rows
-        rows.append(row)  # count retention evicts through maxlen
-        if self.retention.kind != "time":
-            return
-        timed = row[-1]
-        if self._newest is None or timed >= self._newest:
-            self._newest = timed
-        else:
-            self._ordered = False
-        cutoff = self._newest - self.retention.amount
-        # The newest row is never evicted, so ``rows`` stays non-empty.
-        while rows[0][-1] <= cutoff:
-            rows.popleft()
-        if not self._ordered:
-            rows = self._rows = deque(r for r in rows if r[-1] > cutoff)
-            self._ordered = all(a[-1] <= b[-1] for a, b in
-                                zip(rows, islice(rows, 1, None)))
-
-    def _retained(self, now: Optional[int]) -> List[Row]:
-        with self._lock:
-            rows = list(self._rows)
-        if now is not None and self.retention.kind == "time":
-            cutoff = now - self.retention.amount
-            rows = [row for row in rows if cutoff < row[-1] <= now]
-        return rows
+        self.history.extend(rows)
+        if rows:
+            self.history.advance(max(row[-1] for row in rows))
 
     def relation(self, now: Optional[int] = None) -> Relation:
         """The retained rows as a relation (schema fields plus ``timed``),
         oldest first; for time retention ``now`` narrows them to
         ``(now - span, now]``."""
-        return Relation.adopt(self.columns, self._retained(now))
+        with self._lock:
+            return self.history.read(now)
 
     def count(self, now: Optional[int] = None) -> int:
         """Number of rows :meth:`relation` would return."""
-        return len(self._retained(now))
+        return len(self.relation(now))
 
     def latest(self) -> Optional[StreamElement]:
         """The last retained row in append order, as an element."""
         with self._lock:
-            row = self._rows[-1] if self._rows else None
+            rows = self.history.rows
+            row = rows[-1] if rows else None
         if row is None:
             return None
         return StreamElement(dict(zip(self._fields, row)), timed=row[-1],

@@ -11,7 +11,6 @@ processing pipeline.
 
 from __future__ import annotations
 
-import logging
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,16 +23,13 @@ from repro.metrics.tracing import PipelineTracer, Span, new_trace_id
 from repro.sqlengine.relation import Relation
 from repro.streams.buffer import DisconnectBuffer
 from repro.streams.element import StreamElement
-from repro.streams.materialized import WindowRelation
+from repro.streams.history import RetentionPolicy, RowHistory
 from repro.streams.quality import StreamQualityMonitor
 from repro.streams.sampling import ProbabilisticSampler, RateBounder
-from repro.streams.window import SlidingWindow, make_window
 from repro.wrappers.base import Wrapper
 
 #: Called by the ISM when an input stream fires: (stream_name, element).
 TriggerCallback = Callable[[str, StreamElement], None]
-
-logger = logging.getLogger("repro.vsensor")
 
 #: Default window when a source declares no storage-size: latest element.
 _DEFAULT_WINDOW_SPEC = "1"
@@ -56,23 +52,13 @@ class SourceRuntime:
         # window reads (pipeline threads); in synchronous containers it
         # is uncontended and nearly free.
         self._lock = new_lock("SourceRuntime._lock")
-        self.window: SlidingWindow = make_window(  # guarded-by: SourceRuntime._lock
-            spec.storage_size or _DEFAULT_WINDOW_SPEC
-        )
-        # The delta-maintained window view (step 2 without a rebuild).
-        self.materializer: Optional[WindowRelation] = None  # guarded-by: SourceRuntime._lock
-        try:
-            schema = wrapper.output_schema()
-        except Exception as exc:
-            schema = None  # wrapper can't tell yet: rebuild per trigger
-            logger.info(
-                "%s: wrapper %s has no schema before start (%s); "
-                "the window is rebuilt per trigger",
-                spec.alias, spec.address.wrapper, exc,
-            )
-        if schema is not None:
-            self.materializer = WindowRelation(schema.field_names)
-            self.window.add_observer(self.materializer)
+        self.window_spec = spec.storage_size or _DEFAULT_WINDOW_SPEC
+        # The window: one row (fields..., timed) per admitted element,
+        # which step 2 reads in place.
+        self.history = RowHistory(  # guarded-by: SourceRuntime._lock
+            wrapper.output_schema().field_names,
+            RetentionPolicy(*parse_window_spec(self.window_spec)))
+        self._fields = self.history.columns[:-1]
         self.sampler = ProbabilisticSampler(spec.sampling_rate,
                                             seed=sampler_seed)
         self.buffer = DisconnectBuffer(spec.disconnect_buffer)
@@ -150,15 +136,12 @@ class SourceRuntime:
         admit = self.sampler.admit
         admitted = [element for element in elements if admit(element)]
         if admitted:
+            fields = self._fields
+            rows = [element.as_tuple(fields) for element in admitted]
             with self._lock:
-                self.window.extend(admitted)
+                self.history.extend(rows)
             self.elements_admitted += len(admitted)
         return admitted
-
-    @property
-    def version(self) -> int:
-        """Monotonically increasing window-content version (dirty flag)."""
-        return self.window.version
 
     def slide_allows(self, element: StreamElement) -> bool:
         """Whether this admission should fire the pipeline.
@@ -197,61 +180,47 @@ class SourceRuntime:
         return self._into_window(self.buffer.reconnect())
 
     def window_relation(self, now: Optional[int] = None) -> Relation:
-        """Window contents unnested into a flat relation (step 2),
-        rebuilt from scratch: O(window) tuples. The pipeline uses
-        :meth:`snapshot_state`; this is the reference it must match.
-        """
+        """A copy of the window read at ``now`` (step 2), without moving
+        its horizon: the reference :meth:`snapshot_state` must match."""
         with self._lock:
-            return self._rebuild(now)
-
-    def _rebuild(self, now: Optional[int] = None) -> Relation:  # requires-lock: _lock
-        schema = self.wrapper.output_schema()
-        columns = tuple(schema.field_names) + ("timed",)
-        rows = [
-            tuple(element.get(field) for field in schema.field_names)
-            + (element.timed,)
-            for element in self.window.contents(now)
-        ]
-        return Relation(columns, rows)
+            return self.history.read(now)
 
     def snapshot_state(
         self, now: Optional[int] = None, synchronous: bool = False,
     ) -> Tuple[Relation, int, bool, bool]:
-        """The window relation plus the metadata the cache needs.
+        """The window read at ``now`` plus the metadata the cache needs.
 
         Returns ``(relation, version, from_view, cacheable)``:
 
         * ``relation`` — the step-2 window relation;
         * ``version`` — the window version it corresponds to (sampled
           *after* expiry, so it is a sound cache key);
-        * ``from_view`` — True when the relation came from the
-          delta-maintained materialization rather than a rebuild;
+        * ``from_view`` — True when the read is the live history, which
+          the delta states mirror: no retained row is stamped after
+          ``now``;
         * ``cacheable`` — False when the contents depend on ``now``
-          beyond what ``version`` captures (a time window holding
-          elements stamped ahead of the query time), so derived results
-          must not be reused across triggers.
+          beyond what ``version`` captures (a time window holding rows
+          stamped ahead of the query time), so derived results must not
+          be reused across triggers. It equals ``from_view``.
 
-        In a ``synchronous`` container the live :class:`WindowRelation`
-        itself is returned — safe because the caller finishes reading it
-        before this source admits another element; otherwise a copy.
+        In a ``synchronous`` container the live history itself is
+        returned — safe because the caller finishes reading it before
+        this source admits another element; otherwise a copy.
         """
         with self._lock:
-            faithful = self.window.synchronize(now)
-            mat = self.materializer
-            if mat is None or not faithful:
-                return (self._rebuild(now), self.window.version,
-                        False, faithful)
-            relation: Relation = mat if synchronous else mat.snapshot()
-            return relation, self.window.version, True, True
+            history = self.history
+            relation, live = history.view(now)
+            if live and not synchronous:
+                relation = history.read()
+            return relation, history.version, live, live
 
     def status(self) -> dict:
         with self._lock:
-            window_spec = self.window.spec()
-            window_size = len(self.window)
+            window_size = len(self.history)
         return {
             "alias": self.spec.alias,
             "wrapper": self.spec.address.wrapper,
-            "window": window_spec,
+            "window": self.window_spec,
             "window_size": window_size,
             "admitted": self.elements_admitted,
             "connected": self.buffer.connected,

@@ -126,7 +126,7 @@ class VirtualSensor:
         self._source_plans: Dict[SourceKey, SelectPlan] = {}
         self._stream_plans: Dict[str, SelectPlan] = {}
         # Fast-path classification of per-source plans, plus the running
-        # aggregate accumulators attached to window materializations.
+        # aggregate accumulators listening to the window histories.
         self._fast_paths: Dict[SourceKey, Classified] = {}
         self._agg_states: Dict[
             SourceKey,
@@ -265,18 +265,16 @@ class VirtualSensor:
         classified = classify(self._source_plans[key])
         if classified is None:
             return False
-        mat = source.materializer
-        if mat is None:
-            return False
+        history = source.history
         if isinstance(classified, IdentityQuery):
             self._fast_paths[key] = classified
             return True
-        # Running accumulators ride the window observer protocol, which
-        # both count and time windows publish; the referenced columns
-        # must all exist in the materialized relation, otherwise the
-        # executor must keep raising its unknown-column error at
-        # query time.
-        if any(name not in mat._index for name in classified.referenced):
+        # Running accumulators listen to the window's history, under
+        # count and time retention alike; the referenced columns must
+        # all exist in it, otherwise the executor must keep raising its
+        # unknown-column error at query time.
+        if any(name not in history._index
+               for name in classified.referenced):
             return False
         def poisoned(exc: BaseException, _key: SourceKey = key) -> None:
             # Counted per sensor (fastpath_poisoned_total); the query
@@ -303,12 +301,13 @@ class VirtualSensor:
                 if isinstance(classified, GroupedAggregateQuery)
                 else IncrementalAggregateState)
         try:
-            state = kind(classified, mat, label=label, on_poison=poisoned)
+            state = kind(classified, history, label=label,
+                         on_poison=poisoned)
         except Unsupported:
             return False  # a WHERE the emitter cannot compile
         if not state.healthy:
             return False
-        mat.add_listener(state)
+        history.add_listener(state)
         self._fast_paths[key] = classified
         self._agg_states[key] = state
         return True
@@ -325,8 +324,7 @@ class VirtualSensor:
 
         Three gates, all advisory (failing any leaves the stream query
         on per-trigger execution): the output query must classify as a
-        two-source inner equi-join over two distinct materialized
-        sources; both sides' per-source queries must ride the identity
+        two-source inner equi-join over two distinct sources; both sides' per-source queries must ride the identity
         fast path, so the join's inputs are exactly the temporaries the
         executor would see; and the container must be synchronous — the
         join state listens on two windows whose deltas arrive under two
@@ -344,15 +342,13 @@ class VirtualSensor:
         right = by_alias.get(spec.right_table.lower())
         if left is None or right is None or left is right:
             return
-        if left.materializer is None or right.materializer is None:
-            return
         for side in (left, right):
             key = (stream_name, side.spec.alias)
             if not isinstance(self._fast_paths.get(key), IdentityQuery):
                 return
         try:
             state = IncrementalJoinState(
-                spec, left.materializer, right.materializer,
+                spec, left.history, right.history,
                 label=f"{self.name}/{stream_name}: {runtime.spec.query}",
                 on_poison=lambda exc: self._join_poisoned(stream_name, exc),
             )
@@ -373,19 +369,16 @@ class VirtualSensor:
     def _compile_source_plans(self) -> None:
         """Deploy-time compilation of the per-source plans.
 
-        Each plan is lowered against its window's materialized schema
-        into a pull-based physical-operator pipeline, so the last rung
+        Each plan is lowered against its window's history into a pull-based physical-operator pipeline, so the last rung
         of the ladder re-executes generated stages per trigger with
         zero re-planning. Shapes the compiler rejects stay on the
         interpreter (the failure is cached on the plan)."""
         for stream in self.descriptor.input_streams:
             runtime = self.ism.stream(stream.name)
             for source in runtime.sources:
-                mat = source.materializer
-                if mat is None:
-                    continue
                 plan = self._source_plans[(stream.name, source.spec.alias)]
-                compile_for_catalog(plan, Catalog({WRAPPER_TABLE: mat}))
+                compile_for_catalog(plan,
+                                    Catalog({WRAPPER_TABLE: source.history}))
 
     # -- the pipeline ----------------------------------------------------------
 
@@ -478,7 +471,7 @@ class VirtualSensor:
            window relation.
 
         Returns ``(temporary, from_view)`` — the second element reports
-        whether step 2 was served by the live materialized view, which
+        whether step 2 was served by the live window history, which
         the join fast path uses as its per-trigger validity gate.
 
         With a ``parent`` span the window selection (step 2) and the
@@ -543,7 +536,7 @@ class VirtualSensor:
         A healthy delta-maintained join answers from its hash indexes —
         but only when every source served its live window view this
         trigger (``all_views``), because the join state mirrors the raw
-        windows and a rebuilt/unfaithful snapshot could diverge from
+        windows and a filtered copy of a window could diverge from
         them. Otherwise the output query runs through the compiled
         pipeline, or the tree-walking interpreter for shapes the
         compiler rejects.

@@ -69,6 +69,10 @@ class TestDegradedSensor:
             with session_expected():
                 node.run_for(1_000)
                 assert wait_until(lambda: pool.workers_crashed >= 1)
+                # The queued arrivals go on killing respawned workers
+                # until the pool degrades: let those crashes land inside
+                # the expected window too.
+                assert wait_until(lambda: pool.degraded)
             text = node.metrics_text()
             assert 'gsn_thread_crashes_total{owner="probe"}' in text
             assert 'gsn_fastpath_poisoned_total{sensor="probe"} 0' in text

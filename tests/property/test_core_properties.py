@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro.gsntime.duration import format_duration, parse_duration
 from repro.streams.element import StreamElement
-from repro.streams.window import CountWindow, TimeWindow
+from repro.streams.history import RetentionPolicy, RowHistory
 
 timestamps = st.integers(0, 10**12)
 
@@ -24,10 +24,10 @@ class TestCountWindowProperties:
     @given(size=st.integers(1, 20),
            stamps=st.lists(timestamps, min_size=0, max_size=60))
     def test_never_exceeds_capacity_and_keeps_suffix(self, size, stamps):
-        window = CountWindow(size)
+        window = RowHistory(["v"], RetentionPolicy("count", size))
         for stamp in stamps:
-            window.append(StreamElement({"v": 1}, timed=stamp))
-        held = [e.timed for e in window.contents()]
+            window.append((1, stamp))
+        held = [timed for __, timed in window.view(None)[0].rows]
         assert len(held) <= size
         assert held == stamps[-size:] if stamps else held == []
 
@@ -38,25 +38,25 @@ class TestTimeWindowProperties:
     def test_contents_match_naive_model(self, span, stamps):
         """The optimized window equals the obvious definition:
         {t : now - span < t <= now} with now = max(seen)."""
-        window = TimeWindow(span)
+        window = RowHistory(["v"], RetentionPolicy("time", span))
         for stamp in stamps:
-            window.append(StreamElement({"v": 1}, timed=stamp))
+            window.append((1, stamp))
         if not stamps:
-            assert window.contents() == []
+            assert list(window.rows) == []
             return
         now = max(stamps)
         expected = sorted(t for t in stamps if now - span < t <= now)
-        held = sorted(e.timed for e in window.contents())
+        held = sorted(timed for __, timed in window.view(now)[0].rows)
         assert held == expected
 
     @given(span=st.integers(1, 1_000),
            stamps=st.lists(st.integers(0, 5_000), min_size=1, max_size=60),
            probe=st.integers(0, 6_000))
     def test_reference_time_bounds_contents(self, span, stamps, probe):
-        window = TimeWindow(span)
+        window = RowHistory(["v"], RetentionPolicy("time", span))
         for stamp in stamps:
-            window.append(StreamElement({"v": 1}, timed=stamp))
-        held = [e.timed for e in window.contents(now=probe)]
+            window.append((1, stamp))
+        held = [timed for __, timed in window.view(probe)[0].rows]
         assert all(probe - span < t <= probe for t in held)
 
 

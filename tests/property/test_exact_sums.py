@@ -34,9 +34,7 @@ from repro.sqlengine.parser import parse_select
 from repro.sqlengine.physical import run_plan
 from repro.sqlengine.planner import plan_select
 from repro.sqlengine.relation import Relation
-from repro.streams.element import StreamElement
-from repro.streams.materialized import WindowRelation
-from repro.streams.window import CountWindow, TimeWindow
+from repro.streams.history import RetentionPolicy, RowHistory
 
 ADVERSARIAL = [
     1e16, -1e16, 1.0, -1.0, 1e16 + 2, 0.1, -0.1, 0.3,
@@ -96,10 +94,9 @@ def exact_answer(column):
     return rounded, rounded / len(present)
 
 
-def attach(sql, window):
-    """The window's relation and the delta state answering ``sql``."""
-    relation = WindowRelation(["v", "g"])
-    window.add_observer(relation)
+def attach(sql, retention):
+    """A window history and the delta state answering ``sql``."""
+    relation = RowHistory(["v", "g"], retention)
     spec = classify(plan_select(parse_select(sql)))
     state_class = (GroupedAggregateState
                    if isinstance(spec, GroupedAggregateQuery)
@@ -110,15 +107,15 @@ def attach(sql, window):
 
 
 def check(sql, kind, ops):
-    window = CountWindow(4) if kind == "count" else TimeWindow(1_500)
-    relation, state = attach(sql, window)
+    relation, state = attach(sql, RetentionPolicy(kind, 4 if kind == "count"
+                                                  else 1_500))
     interpreted = plan_select(parse_select(sql))
     emitted = plan_select(parse_select(sql))
     now = 0
     for value, group, step in ops:
-        window.append(StreamElement({"v": value, "g": group}, timed=now))
+        relation.append((value, group, now))
         now += step
-        window.contents(now)            # time windows expire here
+        relation.view(now)              # time windows expire here
         catalog = Catalog({"wrapper": Relation(relation.columns,
                                                list(relation.rows))})
         delta = state.snapshot().rows
@@ -161,10 +158,9 @@ def test_exact_window_sums(sql, kind, ops):
 ])
 def test_fixed_answers(column, expected):
     sql = "select sum(v) as s, avg(v) as a from wrapper"
-    window = CountWindow(len(column))
-    relation, state = attach(sql, window)
+    relation, state = attach(sql, RetentionPolicy("count", len(column)))
     for value in column:
-        window.append(StreamElement({"v": value, "g": "a"}, timed=0))
+        relation.append((value, "a", 0))
     catalog = Catalog({"wrapper": Relation(relation.columns,
                                            list(relation.rows))})
     plan = plan_select(parse_select(sql))

@@ -5,7 +5,7 @@ whole batch (:meth:`InputStreamManager.ingest_batch`). Hypothesis
 generates a random tuple sequence and a random partition of it into
 batches, feeds one container the batches and a twin container the same
 tuples one at a time, and checks the claim the batching rests on: the
-source window holds exactly the same elements afterwards, and the final
+source window holds exactly the same rows afterwards, and the final
 evaluated output (the state any later trigger would see) is identical.
 """
 
@@ -45,9 +45,7 @@ def fresh_probe(name):
 
 
 def window_values(sensor):
-    window = sensor.ism.stream("in").source("src").window
-    return [(element.timed, dict(element.values))
-            for element in window.contents()]
+    return list(sensor.ism.stream("in").source("src").history.rows)
 
 
 @settings(max_examples=20, deadline=None)
@@ -151,10 +149,8 @@ def payload(value, timed):
 
 def source_state(sensor):
     source = sensor.ism.stream("in").source("src")
-    window = source.window
     return {
-        "window": [(e.timed, e.arrival_time, dict(e.values))
-                   for e in window.contents()],
+        "window": list(source.history.rows),
         "admitted": source.elements_admitted,
         "quality": source.quality.report.as_dict(),
         "slide": (source._slide_count, source._last_slide_fire),
@@ -196,8 +192,8 @@ def test_batch_admission_matches_batches_of_one(run):
                 single.ingest_batch("in", "src", [item])
 
         assert source_state(batched) == source_state(single)
-        batched_window = batched.ism.stream("in").source("src").window
-        single_window = single.ism.stream("in").source("src").window
+        batched_window = batched.ism.stream("in").source("src").history
+        single_window = single.ism.stream("in").source("src").history
         if not run["window"].endswith("s"):
             # (a time window's version also counts trigger-time expiry)
             assert batched_window.version == single_window.version

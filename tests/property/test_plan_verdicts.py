@@ -23,9 +23,7 @@ from repro.sqlengine.incremental import (
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import plan_select
 from repro.sqlengine.relation import Relation
-from repro.streams.element import StreamElement
-from repro.streams.materialized import WindowRelation
-from repro.streams.window import CountWindow
+from repro.streams.history import RetentionPolicy, RowHistory
 
 SCHEMA = {"v": DataType.INTEGER, "w": DataType.INTEGER,
           "timed": DataType.INTEGER}
@@ -85,16 +83,14 @@ def test_eligible_queries_never_poison(sql, data, window_size):
     classified = classify(plan)
     assert isinstance(classified, AggregateQuery), sql
 
-    window = CountWindow(window_size)
-    mirror = WindowRelation(["v", "w"])
-    window.add_observer(mirror)
+    mirror = RowHistory(["v", "w"], RetentionPolicy("count", window_size))
     poisonings = []
     state = IncrementalAggregateState(classified, mirror, label=sql,
                                       on_poison=poisonings.append)
     mirror.add_listener(state)
 
     for position, (v, w) in enumerate(data):
-        window.append(StreamElement({"v": v, "w": w}, timed=1000 + position))
+        mirror.append((v, w, 1000 + position))
         assert state.healthy, (sql, data[:position + 1], state.poison_cause)
 
         incremental = state.snapshot()

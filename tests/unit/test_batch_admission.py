@@ -1,10 +1,9 @@
 """Unit tests for the batch-native admission path.
 
-One batch through ``SlidingWindow.extend`` → ``window_extended`` →
-``rows_extended`` must be indistinguishable from the same elements
-through ``append`` one at a time: same deltas in the same order, same
-relation, same accumulator bits, same poisoning, and one ingest span
-that still stitches under the trigger.
+One batch through ``RowHistory.extend`` → ``rows_extended`` must be
+indistinguishable from the same rows through ``append`` one at a time:
+same deltas in the same order, same rows, same accumulator bits, same
+poisoning, and one ingest span that still stitches under the trigger.
 """
 
 import dataclasses
@@ -12,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro import GSNContainer
-from repro.exceptions import SchemaError, WindowError
+from repro.exceptions import SchemaError
 from repro.sqlengine.incremental import (
     GroupedAggregateState, IncrementalAggregateState, IncrementalJoinState,
     classify, classify_join,
@@ -20,10 +19,9 @@ from repro.sqlengine.incremental import (
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import plan_select
 from repro.streams.element import StreamElement
-from repro.streams.materialized import (
-    RowListener, WindowObserver, WindowRelation, in_window_order,
+from repro.streams.history import (
+    RetentionPolicy, RowHistory, RowListener, in_window_order,
 )
-from repro.streams.window import CountWindow, TimeWindow
 
 from tests.conftest import simple_mote_descriptor
 
@@ -32,45 +30,38 @@ def plan(sql):
     return plan_select(parse_select(sql))
 
 
-def elements(values, start=100):
-    return [StreamElement({"g": value % 3, "v": value}, timed=start + index)
+def rows(values, start=100):
+    return [(value % 3, value, start + index)
             for index, value in enumerate(values)]
 
 
-class Recorder(WindowObserver):
-    """Implements only the per-element callbacks, so a batch reaches it
+def count_history(size, fields=("g", "v")):
+    return RowHistory(fields, RetentionPolicy("count", size))
+
+
+class RowRecorder(RowListener):
+    """Implements only the per-row callbacks, so a batch reaches it
     through the protocol's default replay."""
 
     def __init__(self):
         self.events = []
 
-    def window_appended(self, element):
-        self.events.append(("append", element["v"]))
-
-    def window_evicted(self, element):
-        self.events.append(("evict", element["v"]))
-
-    def window_reset(self, retained):
-        self.events.append(("reset", [e["v"] for e in retained]))
-
-
-class RowRecorder(RowListener):
-    def __init__(self):
-        self.events = []
-
     def row_appended(self, row):
-        self.events.append(("append", row))
+        self.events.append(("append", row[1]))
 
     def row_evicted(self, row):
-        self.events.append(("evict", row))
+        self.events.append(("evict", row[1]))
+
+    def rows_reset(self, rows):
+        self.events.append(("reset", [row[1] for row in rows]))
 
 
-def twin_windows(factory):
+def twin_histories(factory):
     pair = []
     for __ in range(2):
-        window, recorder = factory(), Recorder()
-        window.add_observer(recorder)
-        pair.append((window, recorder))
+        history, recorder = factory(), RowRecorder()
+        history.add_listener(recorder)
+        pair.append((history, recorder))
     return pair
 
 
@@ -84,54 +75,45 @@ class TestWindowExtend:
     ])
     def test_count_window_deltas_match_repeated_append(self, size, prefill,
                                                        batch):
-        (one, one_seen), (many, many_seen) = twin_windows(
-            lambda: CountWindow(size))
-        for window in (one, many):
-            for element in elements(range(prefill), start=10):
-                window.append(element)
-        fresh = elements(range(100, 100 + batch))
-        for element in fresh:
-            one.append(element)
+        (one, one_seen), (many, many_seen) = twin_histories(
+            lambda: count_history(size))
+        for history in (one, many):
+            for row in rows(range(prefill), start=10):
+                history.append(row)
+        fresh = rows(range(100, 100 + batch))
+        for row in fresh:
+            one.append(row)
         many.extend(fresh)
         assert many_seen.events == one_seen.events
-        assert many.contents() == one.contents()
+        assert list(many.rows) == list(one.rows)
         assert many.version == one.version
         assert len(many) == len(one) == min(size, prefill + batch)
 
     def test_full_count_window_evicts_before_each_append(self):
-        window, seen = twin_windows(lambda: CountWindow(2))[0]
-        window.extend(elements([1, 2]))
+        history, seen = twin_histories(lambda: count_history(2))[0]
+        history.extend(rows([1, 2]))
         seen.events.clear()
-        window.extend(elements([3, 4]))
+        history.extend(rows([3, 4]))
         assert seen.events == [("evict", 1), ("append", 3),
                                ("evict", 2), ("append", 4)]
 
     def test_time_window_tracks_order_per_element(self):
         stamps = [(1, 1000), (2, 3000), (3, 2000), (4, 3500)]
-        batch = [StreamElement({"v": v}, timed=t) for v, t in stamps]
-        (one, one_seen), (many, many_seen) = twin_windows(
-            lambda: TimeWindow(1500))
-        for element in batch:
-            one.append(element)
+        batch = [(0, v, t) for v, t in stamps]
+        (one, one_seen), (many, many_seen) = twin_histories(
+            lambda: RowHistory(("g", "v"), RetentionPolicy("time", 1500)))
+        for row in batch:
+            one.append(row)
         many.extend(batch)
         assert many_seen.events == one_seen.events
-        assert (many._latest_seen, many._monotonic) \
-            == (one._latest_seen, one._monotonic) == (3500, False)
+        assert (many._newest, many._late) \
+            == (one._newest, one._late) == (3500, True)
         assert many.version == one.version
-        # The out-of-order element hides mid-deque: both repair alike.
-        assert many.contents(3600) == one.contents(3600)
+        # The out-of-order row hides mid-deque: both repair alike.
+        assert list(many.view(3600)[0].rows) \
+            == list(one.view(3600)[0].rows)
         assert many_seen.events == one_seen.events
-
-    @pytest.mark.parametrize("factory", [lambda: CountWindow(3),
-                                         lambda: TimeWindow(1000)])
-    def test_unstamped_element_changes_nothing(self, factory):
-        window, seen = twin_windows(factory)[0]
-        window.extend(elements([1, 2]))
-        before = (window.contents(), window.version, list(seen.events))
-        batch = elements([3]) + [StreamElement({"v": 4})] + elements([5])
-        with pytest.raises(WindowError):
-            window.extend(batch)
-        assert (window.contents(), window.version, seen.events) == before
+        assert one_seen.events[-2:] == [("evict", 1), ("reset", [2, 4])]
 
     def test_in_window_order(self):
         assert list(in_window_order("abcd", "xy")) == [
@@ -141,43 +123,37 @@ class TestWindowExtend:
 
 class TestRelationAndListeners:
     def mirrored(self, size=4):
-        window = CountWindow(size)
-        relation = WindowRelation(["g", "v"])
-        window.add_observer(relation)
-        rows = RowRecorder()
-        relation.add_listener(rows)
-        return window, relation, rows
+        history = count_history(size)
+        recorder = RowRecorder()
+        history.add_listener(recorder)
+        return history, recorder
 
     def test_rows_match_per_element(self):
-        one, one_rel, one_rows = self.mirrored()
-        many, many_rel, many_rows = self.mirrored()
-        batch = elements(range(9))
-        for element in batch:
-            one.append(element)
+        one, one_rows = self.mirrored()
+        many, many_rows = self.mirrored()
+        batch = rows(range(9))
+        for row in batch:
+            one.append(row)
         many.extend(batch)
-        assert list(many_rel.rows) == list(one_rel.rows) \
-            == [(e["g"], e["v"], e.timed) for e in batch[-4:]]
+        assert list(many.rows) == list(one.rows) == batch[-4:]
         assert many_rows.events == one_rows.events
 
     def attach(self, state_class, sql, size=4):
-        window = CountWindow(size)
-        relation = WindowRelation(["g", "v"])
-        window.add_observer(relation)
+        history = count_history(size)
         poisonings = []
-        state = state_class(classify(plan(sql)), relation, label=sql,
+        state = state_class(classify(plan(sql)), history, label=sql,
                             on_poison=poisonings.append)
-        relation.add_listener(state)
-        return window, state, poisonings
+        history.add_listener(state)
+        return history, state, poisonings
 
     def test_float_sums_are_bit_identical(self):
         sql = "select sum(v) as s, avg(v) as a, min(v) as lo from wrapper"
         values = [0.1, 1e16, -1e16, 0.2, 0.3, 1e-9, 7.7, 0.1, 3.3, 2.2, 5.5]
         one, one_state, __ = self.attach(IncrementalAggregateState, sql)
         many, many_state, __ = self.attach(IncrementalAggregateState, sql)
-        batch = [StreamElement({"g": 0, "v": v}, timed=100 + i)
-                 for i, v in enumerate(values)]
-        for element in batch:
-            one.append(element)
+        batch = [(0, v, 100 + i) for i, v in enumerate(values)]
+        for row in batch:
+            one.append(row)
         many.extend(batch[:5])
         many.extend(batch[5:])
         assert list(many_state.snapshot().rows) \
@@ -190,9 +166,9 @@ class TestRelationAndListeners:
                "from wrapper group by g")
         one, one_state, __ = self.attach(GroupedAggregateState, sql)
         many, many_state, __ = self.attach(GroupedAggregateState, sql)
-        batch = elements([5, 1, 9, 4, 4, 8, 2, 7, 6])
-        for element in batch:
-            one.append(element)
+        batch = rows([5, 1, 9, 4, 4, 8, 2, 7, 6])
+        for row in batch:
+            one.append(row)
         many.extend(batch)
         assert list(many_state.snapshot().rows) \
             == list(one_state.snapshot().rows)
@@ -202,39 +178,33 @@ class TestRelationAndListeners:
         sql = "select a.v as av, b.v as bv from a join b on a.g = b.g"
 
         def build():
-            sides = {}
-            for name in ("a", "b"):
-                window = CountWindow(3)
-                relation = WindowRelation(["g", "v"])
-                window.add_observer(relation)
-                sides[name] = (window, relation)
+            sides = {name: count_history(3) for name in ("a", "b")}
             state = IncrementalJoinState(classify_join(plan(sql)),
-                                         sides["a"][1], sides["b"][1])
+                                         sides["a"], sides["b"])
             return sides, state
 
         one, one_state = build()
         many, many_state = build()
-        left, right = elements([1, 2, 3, 4, 5]), elements([6, 7, 8, 9])
-        for element in left:
-            one["a"][0].append(element)
-        for element in right:
-            one["b"][0].append(element)
-        many["a"][0].extend(left)
-        many["b"][0].extend(right)
+        left, right = rows([1, 2, 3, 4, 5]), rows([6, 7, 8, 9])
+        for row in left:
+            one["a"].append(row)
+        for row in right:
+            one["b"].append(row)
+        many["a"].extend(left)
+        many["b"].extend(right)
         assert list(many_state.snapshot().rows) \
             == list(one_state.snapshot().rows) != []
         assert many_state.updates == one_state.updates
 
     def test_poison_parity(self):
         sql = "select sum(v) as s from wrapper"
-        batch = [StreamElement({"g": 0, "v": v}, timed=100 + i)
-                 for i, v in enumerate([1, 2, "x", 3, "y", 4])]
+        batch = [(0, v, 100 + i) for i, v in enumerate([1, 2, "x", 3, "y", 4])]
         one, one_state, one_poisonings = self.attach(
             IncrementalAggregateState, sql)
         many, many_state, many_poisonings = self.attach(
             IncrementalAggregateState, sql)
-        for element in batch:
-            one.append(element)
+        for row in batch:
+            one.append(row)
         many.extend(batch)
         assert not one_state.healthy and not many_state.healthy
         assert len(many_poisonings) == len(one_poisonings) == 1
@@ -247,14 +217,14 @@ class TestRelationAndListeners:
     def test_grouped_poison_parity_under_a_where(self):
         sql = ("select g, count(*) as n from wrapper "
                "where sqrt(v) < 3 group by g")
-        batch = [StreamElement({"g": i % 2, "v": v}, timed=100 + i)
+        batch = [(i % 2, v, 100 + i)
                  for i, v in enumerate([1, 4, -1, 9, -4, 2])]
         one, one_state, one_poisonings = self.attach(
             GroupedAggregateState, sql)
         many, many_state, many_poisonings = self.attach(
             GroupedAggregateState, sql)
-        for element in batch:
-            one.append(element)
+        for row in batch:
+            one.append(row)
         many.extend(batch)
         assert len(many_poisonings) == len(one_poisonings) == 1
         assert str(many_state.poison_cause) == str(one_state.poison_cause) \
@@ -281,6 +251,19 @@ class TestRelationAndListeners:
             container.shutdown()
 
 
+def admitted_by(source):
+    """Spy on a source's admission: the elements it admits, in order."""
+    seen = []
+    receive_many = source.receive_many
+
+    def spy(elements):
+        admitted = receive_many(elements)
+        seen.extend(admitted)
+        return admitted
+    source.receive_many = spy
+    return seen
+
+
 class TestBatchTracing:
     def deployed(self, sampling=1.0):
         container = GSNContainer("traced")
@@ -298,6 +281,7 @@ class TestBatchTracing:
     def test_one_ingest_span_per_batch_stitched_under_the_trigger(self):
         container, sensor = self.deployed()
         try:
+            admitted = admitted_by(sensor.ism.stream("in").source("src"))
             sensor.ingest_batch("in", "src",
                                 [{"temperature": i} for i in range(6)])
             [root] = container.traces.recent()
@@ -309,9 +293,7 @@ class TestBatchTracing:
             assert ingest[0].duration_ms is not None
             # One batch, one step-1 observation.
             assert self.step1_count(container) == 1
-            window = sensor.ism.stream("in").source("src").window
-            assert {e.trace_id for e in window.contents()} \
-                == {root.trace_id}
+            assert {e.trace_id for e in admitted} == {root.trace_id}
         finally:
             container.shutdown()
 
@@ -319,24 +301,26 @@ class TestBatchTracing:
         container, sensor = self.deployed()
         try:
             container.clock.advance(5_000)
+            source = sensor.ism.stream("in").source("src")
+            admitted = admitted_by(source)
             sensor.ingest_batch("in", "src", [
                 {"temperature": 1}, {"temperature": 2, "timed": 1_234},
                 {"temperature": 3}])
-            window = sensor.ism.stream("in").source("src").window
-            assert [(e.timed, e.arrival_time) for e in window.contents()] \
+            assert [(e.timed, e.arrival_time) for e in admitted] \
                 == [(5_000, 5_000), (1_234, 5_000), (5_000, 5_000)]
+            assert [row[-1] for row in source.history.rows] \
+                == [5_000, 1_234, 5_000]
         finally:
             container.shutdown()
 
     def test_inbound_trace_id_is_kept_and_wins_the_span(self):
         container, sensor = self.deployed(sampling=0.0)
         try:
+            admitted = admitted_by(sensor.ism.stream("in").source("src"))
             sensor.ingest_batch("in", "src", [
                 StreamElement({"temperature": 1}),
                 StreamElement({"temperature": 2}, trace_id="upstream")])
-            window = sensor.ism.stream("in").source("src").window
-            assert [e.trace_id for e in window.contents()] \
-                == [None, "upstream"]
+            assert [e.trace_id for e in admitted] == [None, "upstream"]
             [root] = container.traces.recent()
             assert root.trace_id == "upstream"
             assert [s.name for s in root.children][0] == "timestamp"

@@ -22,12 +22,9 @@ from repro.sqlengine.incremental import (
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import plan_select
 from repro.sqlengine.relation import Relation
-from repro.storage.base import RetentionPolicy
 from repro.storage.memory import MemoryStorage
-from repro.streams.element import StreamElement
-from repro.streams.materialized import WindowRelation
+from repro.streams.history import RetentionPolicy, RowHistory
 from repro.streams.schema import StreamSchema
-from repro.streams.window import CountWindow, TimeWindow
 from repro.vsensor.virtual_sensor import VirtualSensor
 from repro.wrappers.scripted import ScriptedWrapper
 
@@ -116,65 +113,63 @@ class TestClassify:
 
 
 class TestWindowRelation:
-    def element(self, v, timed):
-        return StreamElement({"v": v}, timed=timed)
+    """The window relation is the source's history itself."""
 
     def test_mirrors_count_window(self):
-        window = CountWindow(3)
-        mat = WindowRelation(["v"])
-        window.add_observer(mat)
+        window = RowHistory(["v"], RetentionPolicy("count", 3))
         for i in range(5):
-            window.append(self.element(i, 100 + i))
-        assert list(mat.rows) == [(2, 102), (3, 103), (4, 104)]
-        assert mat.columns == ("v", "timed")
+            window.append((i, 100 + i))
+        assert list(window.rows) == [(2, 102), (3, 103), (4, 104)]
+        assert window.columns == ("v", "timed")
 
     def test_mirrors_time_window_with_out_of_order(self):
-        window = TimeWindow(100)
-        mat = WindowRelation(["v"])
-        window.add_observer(mat)
-        window.append(self.element(1, 1_000))
-        window.append(self.element(2, 950))   # out of order
-        window.append(self.element(3, 1_060))
-        window.contents(1_060)  # expiry: cutoff 960 drops the 950 element
-        assert sorted(mat.rows) == [(1, 1_000), (3, 1_060)]
+        window = RowHistory(["v"], RetentionPolicy("time", 100))
+        window.append((1, 1_000))
+        window.append((2, 950))   # out of order
+        window.append((3, 1_060))
+        window.view(1_060)  # expiry: cutoff 960 drops the 950 row
+        assert list(window.rows) == [(1, 1_000), (3, 1_060)]
 
     def test_version_bumps_on_every_change(self):
-        window = CountWindow(1)
+        window = RowHistory(["v"], RetentionPolicy("count", 1))
         v0 = window.version
-        window.append(self.element(1, 1))
+        window.append((1, 1))
         assert window.version == v0 + 1
-        window.append(self.element(2, 2))     # evict + append
+        window.append((2, 2))     # evict + append
         assert window.version == v0 + 3
-        window.clear()
-        assert window.version == v0 + 4
+        expiring = RowHistory(["v"], RetentionPolicy("time", 10))
+        expiring.append((1, 1))
+        expiring.view(100)        # expiry
+        assert expiring.version == 2
 
     def test_window_len_is_consistent(self):
-        count = CountWindow(3)
+        count = RowHistory(["v"], RetentionPolicy("count", 3))
         for i in range(5):
-            count.append(self.element(i, i))
-        assert len(count) == len(count.contents()) == 3
-        time_window = TimeWindow(50)
+            count.append((i, i))
+        assert len(count) == len(count.read()) == 3
+        time_window = RowHistory(["v"], RetentionPolicy("time", 50))
         for stamp in (100, 120, 400):
-            time_window.append(self.element(1, stamp))
-        assert len(time_window) == len(time_window.contents()) == 1
+            time_window.append((1, stamp))
+        # Counting never moves the horizon; a read at 400 does.
+        assert len(time_window) == 3
+        assert len(time_window.view(400)[0]) == len(time_window) == 1
 
     def test_time_window_synchronize_reports_future_elements(self):
-        window = TimeWindow(100)
-        window.append(self.element(1, 1_000))
-        assert window.synchronize(1_000) is True
-        window.append(self.element(2, 2_000))
-        # Query time behind the newest stamp: retained != contents(now).
-        assert window.synchronize(1_500) is False
-        assert window.synchronize(2_000) is True
+        window = RowHistory(["v"], RetentionPolicy("time", 100))
+        window.append((1, 1_000))
+        assert window.view(1_000)[1] is True
+        window.append((2, 2_000))
+        # Query time behind the newest stamp: a filtered copy.
+        assert window.view(1_500)[1] is False
+        assert window.view(2_000)[1] is True
 
 
 class TestGroupedAggregateState:
     """Direct delta-maintenance tests for the grouped accumulator map."""
 
     def build(self, sql, window_size=3):
-        window = CountWindow(window_size)
-        mat = WindowRelation(["g", "v"])
-        window.add_observer(mat)
+        window = mat = RowHistory(["g", "v"],
+                                  RetentionPolicy("count", window_size))
         spec = classify(plan(sql))
         assert isinstance(spec, GroupedAggregateQuery)
         poisonings = []
@@ -184,7 +179,7 @@ class TestGroupedAggregateState:
         return window, mat, state, poisonings
 
     def element(self, g, v, timed):
-        return StreamElement({"g": g, "v": v}, timed=timed)
+        return (g, v, timed)
 
     def test_retraction_on_eviction(self):
         sql = "select g, count(*) as n, sum(v) as s from wrapper group by g"
@@ -258,10 +253,8 @@ class TestIncrementalJoinState:
         assert spec is not None
         sides = {}
         for name, size in (("a", left_size), ("b", right_size)):
-            window = CountWindow(size)
-            mat = WindowRelation(["k", "v"])
-            window.add_observer(mat)
-            sides[name] = (window, mat)
+            window = RowHistory(["k", "v"], RetentionPolicy("count", size))
+            sides[name] = (window, window)
         poisonings = []
         state = IncrementalJoinState(spec, sides["a"][1], sides["b"][1],
                                      label=self.SQL,
@@ -269,7 +262,7 @@ class TestIncrementalJoinState:
         return sides, state, poisonings
 
     def element(self, k, v, timed):
-        return StreamElement({"k": k, "v": v}, timed=timed)
+        return (k, v, timed)
 
     def check_against_legacy(self, sides, state, sql=None):
         legacy = execute_plan(plan(sql or self.SQL), Catalog({

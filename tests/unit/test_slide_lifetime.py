@@ -59,7 +59,7 @@ class TestSlide:
         for i in range(4):
             wrapper.emit({"v": i}, timed=1_000 + i)
         source = ism.stream("in").source("s1")
-        assert len(source.window.contents()) == 4  # all admitted
+        assert len(source.history) == 4  # all admitted
 
     def test_time_slide_fires_on_elapsed_span(self):
         clock = VirtualClock(0)

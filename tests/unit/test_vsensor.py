@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import GSNContainer
 from repro.datatypes import DataType
 from repro.descriptors.model import (
     AddressSpec, InputStreamSpec, LifeCycleConfig, StreamSourceSpec,
@@ -190,7 +191,7 @@ class TestInputStreamManager:
         assert self.triggers == []
         replayed = source.reconnect()
         assert len(replayed) == 2
-        assert len(source.window.contents()) == 2
+        assert len(source.history) == 2
 
     def test_pause_resume(self):
         wrapper = scripted()
@@ -329,3 +330,45 @@ class TestVirtualSensorPipeline:
         assert status["name"] == "probe"
         assert status["elements_produced"] == 1
         assert "in" in status["input_streams"]
+
+
+class TestStatusIsARead:
+    """``status()`` counts the window; it must never change what the
+    sensor answers next (the horizon moves only on a query's read)."""
+
+    def last_answer(self, probe_status):
+        container = GSNContainer("status-read")
+        try:
+            container.clock.advance(1_000)
+            container.deploy(simple_mote_descriptor(
+                interval_ms=10_000_000, window="1s", permanent=False,
+                source_query="select count(*) as temperature "
+                             "from wrapper"))
+            sensor = container.sensor("probe")
+            source = sensor.ism.stream("in").source("src")
+            outputs = []
+            sensor.add_listener(outputs.append)
+            for timed in (900, 6_000):
+                sensor.ingest_batch("in", "src",
+                                    [{"temperature": 1, "timed": timed}])
+            if probe_status:
+                sizes = []
+                for __ in range(2):
+                    container.status()
+                    sizes.append(source.status()["window_size"])
+            sensor.ingest_batch("in", "src",
+                                [{"temperature": 1, "timed": 950}])
+            if probe_status:
+                assert outputs[-1]["temperature"] == 2
+                assert sizes == [2, 2]
+                version = source.history.version
+                container.status()
+                container.status()
+                assert source.history.version == version
+                assert source.status()["window_size"] == 3
+            return outputs[-1]["temperature"]
+        finally:
+            container.shutdown()
+
+    def test_status_does_not_change_the_next_answer(self):
+        assert self.last_answer(False) == self.last_answer(True) == 2
