@@ -10,7 +10,7 @@ Run after ``pytest benchmarks/test_micro.py`` has written
 - a workload regresses more than 20% against the speedup recorded in
   ``benchmarks/baseline.json`` (ratios, so the check is
   machine-independent),
-- a generated-stage cell (fused conjunction filter, Top-N) falls under
+- a generated-stage cell (the fused conjunction filter) falls under
   its compiled-vs-interpreter floor in ``baseline.json``,
 - the incremental fast path covers fewer workloads than the baseline
   records, or gsn-plan's static coverage over the shipped examples

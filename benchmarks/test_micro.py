@@ -354,7 +354,7 @@ def test_incremental_join_delta_speedup() -> None:
     })
 
 
-# -- generated stages: fused filter and Top-N -------------------------------
+# -- a generated stage (fused filter) and the delta Top-1 -------------------
 
 _CONJUNCTION_QUERY = (
     "select count(*) as n from t where timed >= 1000100 and value <= 900 "
@@ -390,8 +390,9 @@ def test_compiled_filter_conjunction() -> None:
 
 def test_compiled_order_by_limit() -> None:
     """``ORDER BY ... LIMIT 1`` over 2000-row count and time windows
-    (the per-source query of the gateway and fleet workloads): Top-N
-    with deferred projection vs the interpreter's full sort."""
+    (the per-source query of the gateway and fleet workloads): the delta
+    Top-1 state, whose one row the source plan projects, vs the
+    interpreter's full sort of the window on every trigger."""
     fields = dict(g=DataType.INTEGER, v=DataType.INTEGER)
     for window_label, window in (("count-2000", "2000"), ("time-2s", "2s")):
         descriptor = _sensor_descriptor([("src", window, _TOP_N_QUERY)],
@@ -399,15 +400,39 @@ def test_compiled_order_by_limit() -> None:
         fast, sensor = _per_trigger_seconds(
             descriptor, ("src",), True, fire=("src",), warmup=2_000,
             producer=_matrix_producer, schema=_MATRIX_SCHEMA)
-        assert sensor.fast_paths.snapshot()["compiled_queries"] > 0
+        counters = sensor.fast_paths.snapshot()
+        assert counters["aggregate_hits"] > 0, counters
         slow, __ = _per_trigger_seconds(
             descriptor, ("src",), False, fire=("src",), warmup=2_000,
             producer=_matrix_producer, schema=_MATRIX_SCHEMA)
         register_metric(f"order_by_limit_{window_label}", {
-            "operator": "top-n", "window": window_label,
-            "compiled_ms": fast * 1_000, "interpreted_ms": slow * 1_000,
-            "compiled_speedup": slow / fast,
+            "operator": "top-1", "window": window_label,
+            "incremental_ms": fast * 1_000, "legacy_ms": slow * 1_000,
+            "speedup": slow / fast, "floor": 8,
         })
+
+
+def test_incremental_min_rising_series() -> None:
+    """``min`` over a rising series in a 1000-element count window: every
+    eviction removes the current minimum, so an extremum kept as one
+    value would rescan the window per trigger; the monotone deque pops
+    its front instead."""
+    descriptor = _sensor_descriptor(
+        [("src", "1000", "select min(v) as lo from wrapper")],
+        "select * from src", dict(lo=DataType.INTEGER))
+    fast, sensor = _per_trigger_seconds(
+        descriptor, ("src",), True, fire=("src",),
+        producer=lambda now: {"v": now})
+    counters = sensor.fast_paths.snapshot()
+    assert counters["aggregate_hits"] > 0, counters
+    slow, __ = _per_trigger_seconds(
+        descriptor, ("src",), False, fire=("src",),
+        producer=lambda now: {"v": now})
+    register_metric("min_rising_count-1000", {
+        "operator": "min", "window": "count-1000",
+        "incremental_ms": fast * 1_000, "legacy_ms": slow * 1_000,
+        "speedup": slow / fast, "floor": 10,
+    })
 
 
 def test_incremental_static_coverage() -> None:

@@ -51,6 +51,7 @@ from repro.sqlengine.executor import _truthy
 from repro.sqlengine.explain import expression_to_sql, explain_plan
 from repro.sqlengine.incremental import (
     Classified, GroupedAggregateQuery, IdentityQuery, INELIGIBILITY_REASONS,
+    TopOneQuery,
     REASON_CONSTANT_SOURCE, REASON_DISTINCT,
     REASON_EXPRESSION_ARGUMENT, REASON_HAVING,
     REASON_JOIN, REASON_LIMIT_OFFSET, REASON_NON_INCREMENTAL_FUNCTION,
@@ -101,16 +102,20 @@ PROVEN_INELIGIBILITY_REASONS = INELIGIBILITY_REASONS - {
 _REASON_DETAILS = {
     REASON_SET_OPERATION: "set operations require full re-evaluation",
     REASON_HAVING: "HAVING filters grouped results",
-    REASON_ORDER_BY: "ordered output is not delta-maintained",
+    REASON_ORDER_BY: "only ORDER BY over plain columns with LIMIT 1 is "
+                     "delta-maintained (no ordinals, expressions or "
+                     "aggregates)",
     REASON_DISTINCT: "distinctness needs multiset bookkeeping",
-    REASON_LIMIT_OFFSET: "LIMIT/OFFSET depends on full ordering",
+    REASON_LIMIT_OFFSET: "only LIMIT 1 without OFFSET, under an ORDER BY, "
+                         "is delta-maintained",
     REASON_JOIN: "only two-source inner equi-joins are delta-"
                  "maintained; this join shape re-executes per trigger",
     REASON_SUBQUERY: "subqueries are re-executed per trigger",
     REASON_CONSTANT_SOURCE: "no window relation to maintain",
     REASON_WHERE: "the WHERE shape is not row-local over the window",
-    REASON_PROJECTION: "only SELECT *, aggregate lists, or grouped "
-                       "column/aggregate lists qualify",
+    REASON_PROJECTION: "only SELECT *, aggregate lists, grouped "
+                       "column/aggregate lists, or * and plain columns "
+                       "under ORDER BY ... LIMIT 1 qualify",
     REASON_NON_INCREMENTAL_FUNCTION:
         "aggregate outside count/sum/avg/min/max",
     REASON_EXPRESSION_ARGUMENT:
@@ -610,6 +615,9 @@ def _eligible_detail(classified: Classified) -> str:
     if isinstance(classified, GroupedAggregateQuery):
         return (f"grouped: {len(classified.items)} running "
                 f"accumulator(s) per group")
+    if isinstance(classified, TopOneQuery):
+        return (f"top-1: the best row by {len(classified.order)} ORDER BY "
+                f"key(s), kept by a monotone deque")
     return f"{len(classified.items)} running accumulator(s)"
 
 
@@ -618,11 +626,11 @@ def source_query_verdict(plan: SelectPlan, window_kind: str,
     """The full deploy-time verdict for one per-source query.
 
     Mirrors :meth:`VirtualSensor._attach_fast_path` exactly: identity
-    queries attach over any window; running accumulators (flat or
-    grouped) ride the window observer protocol, which both count and
-    time windows publish, and need every referenced column present in
-    the materialized relation; on top of that, anything the accumulator
-    could *poison* on (type mismatches, division by a data-dependent
+    queries attach over any window; delta states (flat or grouped
+    accumulators, the top-1 row) ride the window observer protocol,
+    which both count and time windows publish, and need every
+    referenced column present in the materialized relation; on top of
+    that, anything the state could *poison* on (type mismatches, division by a data-dependent
     divisor) is rejected as ``type-risk`` so that an eligible verdict
     is a no-poison proof.
     """

@@ -162,7 +162,7 @@ class FastPathCounters:
             self.aggregate_hits += 1
 
     def record_aggregate_fallback(self) -> None:
-        """An accumulator poisoned itself; query rerouted to legacy."""
+        """A delta state poisoned itself or deferred; ran per trigger."""
         with self._lock:
             self.aggregate_fallbacks += 1
 

@@ -1,7 +1,7 @@
 """Incremental evaluation of qualifying per-source queries.
 
 The per-source queries of pipeline step 3 are standing queries over a
-single window relation. Two common shapes don't need re-execution on
+single window relation. Three common shapes don't need re-execution on
 every trigger:
 
 * **identity** — ``select * from wrapper``: the answer *is* the window
@@ -9,15 +9,17 @@ every trigger:
   (:mod:`repro.streams.history`).
 * **simple aggregates** — ``select avg(v), count(*) from wrapper
   [where <row predicate>]``: every aggregate in ``count/sum/avg/min/max``
-  is maintainable under the window's append/evict deltas with O(1) work
-  per element (``min``/``max`` degrade to a rescan only when the current
-  extremum is evicted).
+  is maintainable under the window's append/evict deltas with O(1)
+  amortised work per element (``min``/``max`` by a
+  :class:`MonotoneDeque`: windows evict in arrival order).
+* **top-1** — ``select <* or columns> from wrapper [where ...] order by
+  <columns> limit 1``: the best passing row, by the same deque.
 
 :func:`classify` inspects a compiled :class:`SelectPlan` and reports
-which shape (if any) applies; :class:`IncrementalAggregateState` and
-:class:`GroupedAggregateState` are the running accumulators, fed row
-deltas by a :class:`~repro.streams.history.RowHistory`. A
-WHERE clause is compiled with the pipeline's ``_Emitter``
+which shape (if any) applies; :class:`IncrementalAggregateState`,
+:class:`GroupedAggregateState` and :class:`DeltaTopN` are the running
+states, fed row deltas by a :class:`~repro.streams.history.RowHistory`.
+A WHERE clause is compiled with the pipeline's ``_Emitter``
 (:mod:`repro.sqlengine.physical`) over the window's row layout.
 
 Equivalence contract: for every qualifying query the produced relation is
@@ -26,16 +28,19 @@ row-for-row identical to executing the plan against the window relation
 (unknown columns, mixed-type sums, …) must keep failing at query time —
 the states therefore never raise out of the delta callbacks; they mark
 themselves unhealthy and the sensor runs the query per trigger, which
-raises the executor's error.
+raises the executor's error. While a NaN ``min``/``max`` input or
+ORDER BY key is in the window, a state's snapshot is ``None`` and the
+query runs per trigger.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+    Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
     Tuple, Union,
 )
 
@@ -43,12 +48,14 @@ from repro.sqlengine.ast_nodes import (
     ColumnRef, FunctionCall, Node, SelectItem, Star, contains_aggregate,
     has_subquery,
 )
-from repro.sqlengine.executor import _hashable, _truthy
+from repro.sqlengine.executor import _hashable, _sort_key, _truthy
 from repro.sqlengine.functions import ExactSum
 from repro.sqlengine.introspect import (
     dedupe_columns, expression_columns, expression_name,
 )
-from repro.sqlengine.physical import Unsupported, _compile_row, _Layout
+from repro.sqlengine.physical import (
+    Unsupported, _compile_row, _desc_key, _Layout,
+)
 from repro.sqlengine.planner import (
     HashJoinPlan, NestedLoopJoinPlan, ScanPlan, SelectPlan,
     SubqueryScanPlan,
@@ -57,6 +64,9 @@ from repro.sqlengine.relation import Relation
 from repro.streams.history import RowHistory, RowListener, in_window_order
 
 logger = logging.getLogger("repro.sqlengine.incremental")
+
+#: Called with the error when a state poisons itself.
+PoisonHook = Optional[Callable[[BaseException], None]]
 
 #: Aggregates maintainable under append/evict deltas.
 INCREMENTAL_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
@@ -148,18 +158,52 @@ class JoinQuery:
     right_binding: str
 
 
-Classified = Union[IdentityQuery, AggregateQuery, GroupedAggregateQuery]
+@dataclass(frozen=True)
+class TopOneQuery:
+    """``SELECT <* or columns> FROM wrapper [WHERE <row predicate>]
+    ORDER BY <columns> LIMIT 1``: the window's best passing row."""
+    binding: str
+    items: Tuple[SelectItem, ...]
+    order: Tuple[Tuple[ColumnRef, bool], ...]  # (key, ascending)
+    where: Optional[Node]
+    referenced: FrozenSet[str]
+
+    def key_columns(self, columns: Sequence[str]) -> List[Tuple[str, bool]]:
+        """Each ORDER BY key's source column and direction over a window
+        of ``columns``, resolved as the pipeline's decorate stage does:
+        an output column name (or alias) first, then a source column."""
+        names: List[str] = []
+        sources: List[str] = []
+        for item in self.items:
+            expr: Any = item.expression
+            star = isinstance(expr, Star)
+            names.extend(columns if star else [item.alias or expr.name])
+            sources.extend(columns if star else [expr.name])
+        positions = {name: i for i, name in enumerate(dedupe_columns(names))}
+        keys = []
+        for ref, ascending in self.order:
+            position = positions.get(ref.name) if ref.table is None else None
+            name = ref.name if position is None else sources[position]
+            if name not in columns:
+                raise Unsupported(f"ORDER BY {ref.name} is not a column")
+            keys.append((name, ascending))
+        return keys
+
+
+Classified = Union[IdentityQuery, AggregateQuery, GroupedAggregateQuery,
+                   TopOneQuery]
 
 
 def classify(plan: SelectPlan) -> Optional[Classified]:
     """Decide whether ``plan`` qualifies for an incremental fast path.
 
     Returns an :class:`IdentityQuery`, an :class:`AggregateQuery`, a
-    :class:`GroupedAggregateQuery`, or ``None`` when only the generic
-    executor can answer it. The check is deliberately conservative: any
-    feature with semantics the accumulators don't replicate exactly
-    (joins, subqueries, DISTINCT, HAVING, ORDER BY/LIMIT, expressions
-    inside aggregates or group keys) disqualifies the plan.
+    :class:`GroupedAggregateQuery`, a :class:`TopOneQuery`, or ``None``
+    when only the generic executor can answer it. The check is
+    deliberately conservative: any feature with semantics the states
+    don't replicate exactly (joins, subqueries, DISTINCT, HAVING, ORDER
+    BY other than over columns with LIMIT 1, expressions inside
+    aggregates or group keys) disqualifies the plan.
     """
     return classify_with_reason(plan)[0]
 
@@ -182,15 +226,12 @@ def classify_with_reason(plan: SelectPlan
         return None, REASON_SET_OPERATION
     if plan.having is not None:
         return None, REASON_HAVING
-    if plan.order_by:
-        return None, REASON_ORDER_BY
+    binding = plan.source.binding
+    if plan.order_by or plan.limit is not None or plan.offset is not None:
+        return _classify_top_one(plan, binding)
     if plan.distinct:
         return None, REASON_DISTINCT
-    if plan.limit is not None or plan.offset is not None:
-        return None, REASON_LIMIT_OFFSET
-    binding = plan.source.binding
-
-    if not plan.group_by and not plan.is_aggregate:
+    if not plan.is_aggregate:
         return _classify_identity(plan, binding)
     return _classify_aggregate(plan, binding)
 
@@ -199,12 +240,9 @@ def _classify_identity(plan: SelectPlan, binding: str
                        ) -> Tuple[Optional[IdentityQuery], Optional[str]]:
     if plan.where is not None:
         return None, REASON_WHERE
-    if len(plan.items) != 1:
-        return None, REASON_PROJECTION
     expr = plan.items[0].expression
-    if not isinstance(expr, Star):
-        return None, REASON_PROJECTION
-    if expr.table is not None and expr.table != binding:
+    if len(plan.items) != 1 or not isinstance(expr, Star) \
+            or expr.table not in (None, binding):
         return None, REASON_PROJECTION
     return IdentityQuery(binding), None
 
@@ -236,15 +274,9 @@ def _classify_aggregate(plan: SelectPlan, binding: str
         if parsed.column is not None:
             referenced.append(parsed.column)
 
-    if plan.where is not None:
-        if has_subquery(plan.where):
-            return None, REASON_SUBQUERY
-        if contains_aggregate(plan.where):
-            return None, REASON_WHERE
-        for ref in expression_columns(plan.where):
-            if ref.table is not None and ref.table != binding:
-                return None, REASON_WHERE
-            referenced.append(ref.name)
+    reason = _where_columns(plan, binding, referenced)
+    if reason is not None:
+        return None, reason
 
     columns = dedupe_columns([
         item.alias or expression_name(item.expression)
@@ -255,6 +287,60 @@ def _classify_aggregate(plan: SelectPlan, binding: str
     if keys:
         return GroupedAggregateQuery(*query, keys=tuple(keys)), None
     return AggregateQuery(*query), None
+
+
+def _classify_top_one(plan: SelectPlan, binding: str
+                      ) -> Tuple[Optional[TopOneQuery], Optional[str]]:
+    """``ORDER BY <columns> LIMIT 1`` over ``*`` or plain columns; ordinal
+    or expression keys and larger limits stay on the compiled Top-N."""
+    if not plan.order_by:
+        return None, REASON_LIMIT_OFFSET
+    if plan.is_aggregate or plan.limit is None:
+        return None, REASON_ORDER_BY
+    if plan.limit != 1 or plan.offset:
+        return None, REASON_LIMIT_OFFSET
+    if plan.distinct:
+        return None, REASON_DISTINCT
+    explicit = set()
+    referenced: List[str] = []
+    for item in plan.items:
+        expr = item.expression
+        if not isinstance(expr, (Star, ColumnRef)) \
+                or expr.table not in (None, binding):
+            return None, REASON_PROJECTION
+        if isinstance(expr, ColumnRef):
+            explicit.add(item.alias or expr.name)
+            referenced.append(expr.name)
+    order = []
+    for order_item in plan.order_by:
+        ref = order_item.expression
+        if not isinstance(ref, ColumnRef) or ref.table not in (None, binding):
+            return None, REASON_ORDER_BY
+        if ref.table is not None or ref.name not in explicit:
+            referenced.append(ref.name)
+        order.append((ref, order_item.ascending))
+    reason = _where_columns(plan, binding, referenced)
+    if reason is not None:
+        return None, reason
+    return TopOneQuery(binding, plan.items, tuple(order), plan.where,
+                       frozenset(referenced)), None
+
+
+def _where_columns(plan: SelectPlan, binding: str,
+                   referenced: List[str]) -> Optional[str]:
+    """Add the WHERE's columns to ``referenced``; the reason when the
+    WHERE is not a row-local predicate over ``binding``."""
+    if plan.where is None:
+        return None
+    if has_subquery(plan.where):
+        return REASON_SUBQUERY
+    if contains_aggregate(plan.where):
+        return REASON_WHERE
+    for ref in expression_columns(plan.where):
+        if ref.table is not None and ref.table != binding:
+            return REASON_WHERE
+        referenced.append(ref.name)
+    return None
 
 
 def classify_join(plan: SelectPlan) -> Optional[JoinQuery]:
@@ -325,11 +411,57 @@ def _classify_item(item: SelectItem, binding: str
 # --------------------------------------------------------------------------
 
 
+class MonotoneDeque:
+    """The best live entry of a FIFO window, O(1) amortised per change.
+
+    Entries are ``(key, seq, payload)``, ``seq`` numbering the arrivals.
+    An arrival pops every back entry whose key is strictly worse, so the
+    front is the best live entry and, among equal keys, the earliest:
+    the tie rule of a stable sort and of builtin ``min``/``max``.
+    :meth:`expire` retires the oldest arrival, popping the front once
+    its ``seq`` has expired. Keys must be totally ordered, so a NaN
+    arrival never enters: ``nans`` holds the seqs of the live ones.
+    """
+
+    __slots__ = ("entries", "nans", "arrived", "expired", "_worse")
+
+    def __init__(self, largest: bool = False) -> None:
+        self.entries: "deque[Tuple[Any, int, Any]]" = deque()
+        self.nans: "deque[int]" = deque()
+        self.arrived = self.expired = 0
+        self._worse = operator.lt if largest else operator.gt
+
+    def push(self, key: Any, payload: Any = None, nan: bool = False) -> None:
+        """Arrive; may raise the comparison's TypeError (mixed types)."""
+        self.arrived = seq = self.arrived + 1
+        if nan:
+            self.nans.append(seq)
+            return
+        entries, worse = self.entries, self._worse
+        while entries and worse(entries[-1][0], key):
+            entries.pop()
+        entries.append((key, seq, payload))
+
+    def expire(self) -> None:
+        self.expired = expired = self.expired + 1
+        if self.entries and self.entries[0][1] <= expired:
+            self.entries.popleft()
+        if self.nans and self.nans[0] <= expired:
+            self.nans.popleft()
+
+
+def _deferred(states: Sequence["_ItemState"]) -> bool:
+    """Whether a NaN ``min``/``max`` input is live in any of ``states``."""
+    return any(state.extrema is not None and state.extrema.nans
+               for state in states)
+
+
 class _ItemState:
     """Running accumulator for one ``count``/``sum``/``avg``/``min``/
-    ``max`` item over the rows folded into it."""
+    ``max`` item over the rows folded into it; ``min``/``max`` keep a
+    :class:`MonotoneDeque` of the non-null values."""
 
-    __slots__ = ("kind", "position", "nonnull", "exact", "extremum", "dirty")
+    __slots__ = ("kind", "position", "nonnull", "exact", "extrema")
 
     def __init__(self, kind: str, position: Optional[int]) -> None:
         self.kind = kind
@@ -340,48 +472,35 @@ class _ItemState:
         self.nonnull = 0                  # non-null inputs currently included
         self.exact: Any = (ExactSum()     # exact running sum (sum/avg)
                            if self.kind in ("sum", "avg") else None)
-        self.extremum: Any = None         # current min/max
-        self.dirty = False                # extremum evicted: rescan needed
+        self.extrema: Optional[MonotoneDeque] = (
+            MonotoneDeque(self.kind == "max")
+            if self.kind in ("min", "max") else None)
 
     def add(self, row: Tuple[Any, ...]) -> None:
         value = row[self.position]  # type: ignore[index]
         if value is None:
             return
         self.nonnull += 1
-        kind = self.kind
-        if kind == "sum" or kind == "avg":
+        if self.exact is not None:
             # Raises on non-numbers: the poisoned state then leaves the
             # query to the interpreter, which raises its own error.
             self.exact.add(value)
-        elif kind != "count" and not self.dirty:
-            if self.nonnull == 1:
-                self.extremum = value
-            elif kind == "min":
-                if value < self.extremum:
-                    self.extremum = value
-            elif value > self.extremum:
-                self.extremum = value
+        elif self.extrema is not None:
+            # Raises where the interpreter's min()/max() would.
+            self.extrema.push(value, None, value != value)
 
     def remove(self, row: Tuple[Any, ...]) -> None:
         value = row[self.position]  # type: ignore[index]
         if value is None:
             return
         self.nonnull -= 1
-        kind = self.kind
-        if kind == "sum" or kind == "avg":
+        if self.exact is not None:
             self.exact.remove(value)
-        elif self.nonnull == 0:
-            self.extremum = None
-            self.dirty = False
-        elif not self.dirty and value == self.extremum:
-            # The extremum left the window; only a rescan of the
-            # retained rows can find the runner-up.
-            self.dirty = True
+        elif self.extrema is not None:
+            self.extrema.expire()
 
-    def result(self, rows: Callable[[], Iterable[Tuple[Any, ...]]]) -> Any:
-        """The item's value. ``rows()`` yields the rows folded into it;
-        it is read only when an evicted extremum forces a rescan (which
-        may raise the interpreter's mixed-type comparison errors)."""
+    def result(self) -> Any:
+        """The item's value; read only while no NaN input is live."""
         kind = self.kind
         if kind == "count":
             return self.nonnull
@@ -391,19 +510,11 @@ class _ItemState:
             return self.exact.total()
         if kind == "avg":
             return self.exact.total() / self.nonnull
-        if self.dirty:
-            # The interpreter's own fold: builtin min/max over the
-            # non-null values in window order.
-            position = self.position
-            self.extremum = (min if kind == "min" else max)(
-                row[position] for row in rows()  # type: ignore[index]
-                if row[position] is not None)  # type: ignore[index]
-            self.dirty = False
-        return self.extremum
+        return self.extrema.entries[0][0]  # type: ignore[union-attr]
 
 
 class _DeltaState(RowListener):
-    """The accumulator core both aggregate states share: health and
+    """The core the aggregate and top-1 states share: health and
     poisoning (which the join state borrows), the observability fields,
     the compiled WHERE and the guarded fold of window deltas in window
     order.
@@ -418,8 +529,7 @@ class _DeltaState(RowListener):
     """
 
     def __init__(self, spec: Any, relation: RowHistory, label: str,
-                 on_poison: Optional[Callable[[BaseException], None]]
-                 ) -> None:
+                 on_poison: PoisonHook) -> None:
         self.spec = spec
         self.relation = relation
         self.healthy = True
@@ -529,11 +639,8 @@ class IncrementalAggregateState(_DeltaState):
     """Maintains one qualifying flat aggregate query under window deltas:
     a row count plus one :class:`_ItemState` per other item."""
 
-    def __init__(self, spec: AggregateQuery,
-                 relation: RowHistory,
-                 label: str = "",
-                 on_poison: Optional[Callable[[BaseException], None]] = None
-                 ) -> None:
+    def __init__(self, spec: AggregateQuery, relation: RowHistory,
+                 label: str = "", on_poison: PoisonHook = None) -> None:
         super().__init__(spec, relation, label, on_poison)
         self._included = 0                # rows passing WHERE
         self._items = [
@@ -561,20 +668,15 @@ class IncrementalAggregateState(_DeltaState):
         for state in self._folded:
             state.remove(row)
 
-    def _passing_rows(self) -> Iterable[Tuple[Any, ...]]:
-        return (row for row in self.relation.rows if self._passes(row))
-
-    def snapshot(self) -> Relation:
-        """The query's current answer as a single-row relation.
-
-        May raise (a ``min``/``max`` rescan inherits the interpreter's
-        mixed-type comparison errors); callers must treat a raising
-        snapshot as poisoning and run the query per trigger.
-        """
+    def snapshot(self) -> Optional[Relation]:
+        """The query's current answer as a single-row relation, or
+        ``None`` while a NaN ``min``/``max`` input is in the window."""
+        if _deferred(self._folded):
+            return None
         values: List[Any] = []
         for state in self._items:
             values.append(self._included if state.kind == "count_star"
-                          else state.result(self._passing_rows))
+                          else state.result())
         return Relation(self.spec.columns, [tuple(values)])
 
     def __repr__(self) -> str:
@@ -591,11 +693,10 @@ class _GroupState:
     """Per-group accumulators plus the group's included rows.
 
     The rows are kept (as references into the window's tuples) because
-    three things need them: ``min``/``max`` rescans after an extremum
-    eviction, plain-column select items (the group's *first* row, per
-    ``eval_group``), and output ordering — the interpreter emits groups
-    in first-seen window order, which after evictions is the order of
-    each group's oldest surviving row.
+    two things need them: plain-column select items (the group's
+    *first* row, per ``eval_group``), and output ordering — the
+    interpreter emits groups in first-seen window order, which after
+    evictions is the order of each group's oldest surviving row.
     """
 
     __slots__ = ("rows", "items", "folded")
@@ -606,9 +707,6 @@ class _GroupState:
         self.folded = [state for state in items
                        if state.kind not in ("count_star", "column")]
 
-    def covered(self) -> Iterable[Tuple[Any, ...]]:
-        return (row for __, row in self.rows)
-
     def values(self) -> Tuple[Any, ...]:
         values: List[Any] = []
         for state in self.items:
@@ -618,7 +716,7 @@ class _GroupState:
                 values.append(
                     self.rows[0][1][state.position])  # type: ignore[index]
             else:
-                values.append(state.result(self.covered))
+                values.append(state.result())
         return tuple(values)
 
 
@@ -630,11 +728,8 @@ class GroupedAggregateState(_DeltaState):
     and delete the group when its last row leaves.
     """
 
-    def __init__(self, spec: GroupedAggregateQuery,
-                 relation: RowHistory,
-                 label: str = "",
-                 on_poison: Optional[Callable[[BaseException], None]] = None
-                 ) -> None:
+    def __init__(self, spec: GroupedAggregateQuery, relation: RowHistory,
+                 label: str = "", on_poison: PoisonHook = None) -> None:
         super().__init__(spec, relation, label, on_poison)
         self._key_positions = [self._index[key] for key in spec.keys]
         self._item_specs = [
@@ -676,13 +771,16 @@ class GroupedAggregateState(_DeltaState):
         for state in group.folded:
             state.remove(row)
 
-    def snapshot(self) -> Relation:
-        """The query's current answer, one row per live group.
+    def snapshot(self) -> Optional[Relation]:
+        """The query's current answer, one row per live group, or
+        ``None`` while a NaN ``min``/``max`` input is in the window.
 
         Groups are emitted in the order of their oldest surviving row —
         exactly the interpreter's first-seen insertion order over the
         current window contents.
         """
+        if any(_deferred(group.folded) for group in self._groups.values()):
+            return None
         ordered = sorted(self._groups.values(),
                          key=lambda group: group.rows[0][0])
         return Relation(self.spec.columns,
@@ -691,6 +789,44 @@ class GroupedAggregateState(_DeltaState):
     def __repr__(self) -> str:
         return (f"GroupedAggregateState({self.spec.columns}, "
                 f"groups={len(self._groups)}, healthy={self.healthy})")
+
+
+class DeltaTopN(_DeltaState):
+    """Maintains a :class:`TopOneQuery` under window deltas: the best
+    passing row in a :class:`MonotoneDeque`, keyed by the sort key the
+    pipeline's decorate stage builds (``_sort_key``, or ``_desc_key``
+    for DESC)."""
+
+    def __init__(self, spec: TopOneQuery, relation: RowHistory,
+                 label: str = "", on_poison: PoisonHook = None) -> None:
+        super().__init__(spec, relation, label, on_poison)
+        self._keys = [(self._index[name], _sort_key if ascending
+                       else _desc_key) for name, ascending
+                      in spec.key_columns(relation.columns)]
+        self.rows_reset(list(relation.rows))
+
+    def _clear(self) -> None:
+        self._best = MonotoneDeque()
+
+    def _include(self, row: Tuple[Any, ...]) -> None:
+        if any(row[p] != row[p] for p, __ in self._keys):
+            self._best.push(None, row, nan=True)
+        else:
+            self._best.push(tuple([key(row[p]) for p, key in self._keys]),
+                            row)
+
+    def _exclude(self, row: Tuple[Any, ...]) -> None:
+        self._best.expire()
+
+    def snapshot(self) -> Optional[Relation]:
+        """The window holding just its best row (none when no row
+        passes), for the source plan to project; ``None`` while a NaN
+        key is live."""
+        best = self._best
+        if best.nans:
+            return None
+        return Relation.adopt(self.relation.columns,
+                              [best.entries[0][2]] if best.entries else [])
 
 
 # --------------------------------------------------------------------------
@@ -747,11 +883,8 @@ class IncrementalJoinState:
     stream query returns to per-trigger execution.
     """
 
-    def __init__(self, spec: JoinQuery,
-                 left: RowHistory, right: RowHistory,
-                 label: str = "",
-                 on_poison: Optional[Callable[[BaseException], None]] = None
-                 ) -> None:
+    def __init__(self, spec: JoinQuery, left: RowHistory, right: RowHistory,
+                 label: str = "", on_poison: PoisonHook = None) -> None:
         self.spec = spec
         self.healthy = True
         self.label = label

@@ -67,8 +67,6 @@ from repro.sqlengine.relation import Relation
 
 #: Compiled row expression: flat tuple -> value.
 RowFn = Callable[[Tuple[Any, ...]], Any]
-#: Compiled group expression: list of flat tuples -> value.
-GroupFn = Callable[[List[Tuple[Any, ...]]], Any]
 
 
 class Unsupported(Exception):
@@ -548,13 +546,6 @@ def _compile_row(node: Node, layout: _Layout,
     """Compile an expression into a function of one flat row tuple."""
     emitter = _Emitter(layout, like_cache)
     return emitter.build("row", "r", emitter.expr(node))
-
-
-def _compile_group(node: Node, layout: _Layout,
-                   like_cache: Dict[str, "re.Pattern[str]"]) -> GroupFn:
-    """Compile a GROUP BY-context expression over a list of row tuples."""
-    emitter = _Emitter(layout, like_cache)
-    return emitter.build("group", "g", emitter.expr(node, group=True))
 
 
 def _conjuncts(node: Node) -> List[Node]:
@@ -1159,7 +1150,3 @@ def _compile_with_schemas(plan: SelectPlan,
         plan._phys_failed_schemas = None  # type: ignore[attr-defined]
     return pipeline
 
-
-def pipeline_of(plan: SelectPlan) -> Optional[CompiledPipeline]:
-    """The pipeline cached on ``plan`` by :func:`run_plan`, if any."""
-    return getattr(plan, "_phys", None)

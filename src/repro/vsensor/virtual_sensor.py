@@ -28,8 +28,9 @@ from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import PipelineTracer, Span, TraceBuffer
 from repro.sqlengine.executor import Catalog
 from repro.sqlengine.incremental import (
-    Classified, GroupedAggregateQuery, GroupedAggregateState, IdentityQuery,
-    IncrementalAggregateState, IncrementalJoinState, classify, classify_join,
+    AggregateQuery, Classified, DeltaTopN, GroupedAggregateQuery,
+    GroupedAggregateState, IdentityQuery, IncrementalAggregateState,
+    IncrementalJoinState, TopOneQuery, classify, classify_join,
 )
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.physical import (
@@ -54,6 +55,17 @@ SourceKey = Tuple[str, str]
 OutputListener = Callable[[StreamElement], None]
 
 logger = logging.getLogger("repro.vsensor")
+
+DeltaState = Union[IncrementalAggregateState, GroupedAggregateState,
+                   DeltaTopN]
+
+#: The delta state answering each classified shape (identity needs none),
+#: and the kind ``incremental_status()`` reports for it.
+_DELTA_STATES = {
+    AggregateQuery: (IncrementalAggregateState, "aggregate"),
+    GroupedAggregateQuery: (GroupedAggregateState, "group-aggregate"),
+    TopOneQuery: (DeltaTopN, "top-1"),
+}
 
 
 class VirtualSensor:
@@ -125,13 +137,10 @@ class VirtualSensor:
         # this is the plan cache half of GSN's "adaptive query execution".
         self._source_plans: Dict[SourceKey, SelectPlan] = {}
         self._stream_plans: Dict[str, SelectPlan] = {}
-        # Fast-path classification of per-source plans, plus the running
-        # aggregate accumulators listening to the window histories.
+        # Fast-path classification of per-source plans, plus the delta
+        # states (accumulators, top-1 rows) listening to the histories.
         self._fast_paths: Dict[SourceKey, Classified] = {}
-        self._agg_states: Dict[
-            SourceKey,
-            Union[IncrementalAggregateState, GroupedAggregateState],
-        ] = {}
+        self._agg_states: Dict[SourceKey, DeltaState] = {}
         # Delta-maintained two-source equi-joins, one per stream whose
         # output query qualifies (synchronous containers only).
         self._join_states: Dict[str, IncrementalJoinState] = {}
@@ -269,8 +278,8 @@ class VirtualSensor:
         if isinstance(classified, IdentityQuery):
             self._fast_paths[key] = classified
             return True
-        # Running accumulators listen to the window's history, under
-        # count and time retention alike; the referenced columns must
+        # Delta states listen to the window's history, under count and
+        # time retention alike; the referenced columns must
         # all exist in it, otherwise the executor must keep raising its
         # unknown-column error at query time.
         if any(name not in history._index
@@ -296,13 +305,10 @@ class VirtualSensor:
 
         label = (f"{self.name}/{stream_name}/{source.spec.alias}: "
                  f"{source.spec.query}")
-        state: Union[IncrementalAggregateState, GroupedAggregateState]
-        kind = (GroupedAggregateState
-                if isinstance(classified, GroupedAggregateQuery)
-                else IncrementalAggregateState)
+        kind = _DELTA_STATES[type(classified)][0]
         try:
-            state = kind(classified, history, label=label,
-                         on_poison=poisoned)
+            state: DeltaState = kind(classified, history, label=label,
+                                     on_poison=poisoned)
         except Unsupported:
             return False  # a WHERE the emitter cannot compile
         if not state.healthy:
@@ -464,8 +470,8 @@ class VirtualSensor:
            last trigger, reuse the previous result outright;
         2. identity fast path — the query is ``select * from wrapper``,
            hand back the delta-maintained window relation;
-        3. incremental aggregates — answer from running accumulators
-           (flat or grouped);
+        3. delta states — answer from running accumulators (flat or
+           grouped), or project the top-1 row a monotone deque keeps;
         4. compiled — run the deploy-time compiled pipeline (or the
            interpreter, for the shapes the compiler rejects) over the
            window relation.
@@ -580,32 +586,30 @@ class VirtualSensor:
 
     def _aggregate_snapshot(self, key: SourceKey, source: SourceRuntime,
                             spec: Classified) -> Optional[Relation]:
-        """The accumulator's current answer, or ``None`` to fall back.
+        """The delta state's current answer, or ``None`` to fall back.
 
-        A poisoned (or poisoning) accumulator routes the query through
-        per-trigger execution, so errors surface at query time exactly
-        as they would without the accumulator.
+        A poisoned state routes the query through per-trigger
+        execution, so errors surface at query time exactly as they
+        would without the state; so does a state deferring while a NaN
+        is in the window. A snapshot only reads what the deltas keep,
+        so it cannot raise. A top-1 state hands back its best row,
+        which the source plan itself then projects.
         """
         state = self._agg_states.get(key)
         if state is None:
             return None
-        if not state.healthy:
-            self.fast_paths.record_aggregate_fallback()
-            return None
-        try:
-            # Under the source lock: accumulators are updated inside the
+        snapshot = None
+        if state.healthy:
+            # Under the source lock: delta states are updated inside the
             # window's notification path, which holds the same lock.
             with source._lock:
                 snapshot = state.snapshot()
-        except Exception as exc:
-            state._poison(exc)
+        if snapshot is None:
             self.fast_paths.record_aggregate_fallback()
-            logger.warning(
-                "%s: aggregate accumulator for %s/%s poisoned itself; "
-                "falling back to per-trigger execution", self.name, *key,
-                exc_info=True,
-            )
             return None
+        if isinstance(state, DeltaTopN):
+            snapshot, __ = run_plan(self._source_plans[key],
+                                    Catalog({WRAPPER_TABLE: snapshot}))
         self.fast_paths.record_aggregate()
         return snapshot
 
@@ -695,9 +699,7 @@ class VirtualSensor:
                 kind = "identity"
             else:
                 state = self._agg_states.get((stream_name, alias))
-                base = ("group-aggregate"
-                        if isinstance(classified, GroupedAggregateQuery)
-                        else "aggregate")
+                base = _DELTA_STATES[type(classified)][1]
                 kind = base if state is None or state.healthy \
                     else f"{base} (poisoned)"
             kinds[f"{stream_name}/{alias}"] = kind

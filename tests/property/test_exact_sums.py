@@ -16,6 +16,12 @@ outside the engine: ``Fraction`` arithmetic, rounded by ``float``.
 Values are adversarial: cancelling magnitudes (``1e16`` beside ``1``),
 ``0.1``, subnormals, values near the double range, infinities, NaN and
 ints past 2**53 mixed with doubles (windows do not type-check).
+
+The same values feed ``min``/``max``: with no NaN in the window all
+three evaluators answer builtin ``min``/``max`` of the non-null values
+(the first of equal values, so ``1`` beside ``1.0`` keeps its type);
+while a NaN is in the window the delta states defer (their snapshot is
+``None``) and the query runs per trigger.
 """
 
 import math
@@ -61,6 +67,9 @@ FLAT = ("select count(*) as n, count(v) as c, sum(v) as s, avg(v) as a "
         "from wrapper")
 GROUPED = ("select g, count(*) as n, sum(v) as s, avg(v) as a "
            "from wrapper group by g")
+EXTREMA = "select count(v) as c, min(v) as lo, max(v) as hi from wrapper"
+GROUPED_EXTREMA = ("select g, min(v) as lo, max(v) as hi "
+                   "from wrapper group by g")
 
 
 def same(x, y):
@@ -74,6 +83,15 @@ def same_rows(left, right):
     return len(left) == len(right) and all(
         len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
         for a, b in zip(left, right))
+
+
+def extrema_answer(column):
+    """(min, max) of the non-null values by builtin min/max; None when a
+    NaN is among them (NaN has no place in an order)."""
+    present = [v for v in column if v is not None]
+    if any(v != v for v in present):
+        return None
+    return (min(present), max(present)) if present else (None, None)
 
 
 def exact_answer(column):
@@ -118,20 +136,24 @@ def check(sql, kind, ops):
         relation.view(now)              # time windows expire here
         catalog = Catalog({"wrapper": Relation(relation.columns,
                                                list(relation.rows))})
-        delta = state.snapshot().rows
+        snapshot = state.snapshot()
         oracle = execute_plan(interpreted, catalog).rows
         pipeline, compiled = run_plan(emitted, catalog)
         assert compiled
         assert state.healthy
-        assert same_rows(delta, oracle), (delta, oracle)
+        extrema = sql in (EXTREMA, GROUPED_EXTREMA)
+        nan = any(row[0] != row[0] for row in relation.rows)
+        assert (snapshot is None) == (extrema and nan)
+        if snapshot is not None:
+            assert same_rows(snapshot.rows, oracle), (snapshot.rows, oracle)
         assert same_rows(list(pipeline.rows), oracle), (pipeline.rows, oracle)
         groups = {}
         for row in relation.rows:
             groups.setdefault(row[1], []).append(row[0])
         for row in oracle:
-            column = (groups[row[0]] if sql == GROUPED
+            column = (groups[row[0]] if sql in (GROUPED, GROUPED_EXTREMA)
                       else [r[0] for r in relation.rows])
-            expected = exact_answer(column)
+            expected = (extrema_answer if extrema else exact_answer)(column)
             if expected is not None:
                 assert same_rows([row[-2:]], [expected]), (row, column)
 
@@ -141,6 +163,15 @@ def check(sql, kind, ops):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(ops=arrivals)
 def test_exact_window_sums(sql, kind, ops):
+    check(sql, kind, ops)
+
+
+@pytest.mark.parametrize("kind", ["count", "time"])
+@pytest.mark.parametrize("sql", [EXTREMA, GROUPED_EXTREMA],
+                         ids=["flat", "grouped"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(ops=arrivals)
+def test_window_extrema_over_adversarial_values(sql, kind, ops):
     check(sql, kind, ops)
 
 

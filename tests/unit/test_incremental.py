@@ -506,6 +506,49 @@ class TestExactFloatSums:
             "wrapper": window})).rows == [(2.0, 1.0)]
 
 
+class TestNaNExtrema:
+    """A NaN that arrives first must not stick as the running extremum
+    once it has left the window: the interpreter answers ``(1.0, 5.0)``
+    for the last window. A NaN never enters the ordered structure; the
+    state defers to per-trigger execution while one is live."""
+
+    QUERY = "select min(v) as lo, max(v) as hi from wrapper"
+
+    def test_min_max_after_the_nan_leaves_a_count_window(self):
+        descriptor = VirtualSensorDescriptor(
+            name="nan",
+            output_structure=StreamSchema.build(lo=DataType.DOUBLE,
+                                                hi=DataType.DOUBLE),
+            input_streams=(InputStreamSpec(
+                name="in",
+                sources=(StreamSourceSpec(
+                    alias="src", address=AddressSpec("scripted"),
+                    query=self.QUERY, storage_size="3"),),
+                query="select * from src",
+            ),),
+        )
+        clock = VirtualClock(10_000)
+        wrapper = ScriptedWrapper()
+        wrapper.script(lambda now: None, StreamSchema.build(v=DataType.DOUBLE))
+        wrapper.attach(clock)
+        wrapper.configure({})
+        sensor = VirtualSensor(descriptor, clock, {"src": wrapper})
+        outputs = []
+        sensor.add_listener(lambda element: outputs.append(
+            (element["lo"], element["hi"])))
+        sensor.start()
+        for value in (float("nan"), 5.0, 1.0, 3.0):
+            clock.advance(1)
+            wrapper.emit({"v": value})
+        window = sensor.ism.stream("in").source("src").window_relation()
+        assert execute_plan(plan(self.QUERY), Catalog({
+            "wrapper": window})).rows == [(1.0, 5.0)]
+        assert outputs[-1] == (1.0, 5.0)
+        counters = sensor.fast_paths.snapshot()
+        assert counters["aggregate_fallbacks"] == 3  # the NaN was live
+        assert counters["aggregate_hits"] == 1
+
+
 class TestDescriptorFlag:
     def test_default_not_serialized_and_roundtrips(self):
         descriptor = simple_mote_descriptor()

@@ -20,7 +20,7 @@ from repro.descriptors.xml_io import (
     descriptor_from_file, descriptor_line_index,
 )
 from repro.sqlengine.incremental import (
-    REASON_JOIN, REASON_ORDER_BY,
+    REASON_JOIN, REASON_LIMIT_OFFSET, REASON_ORDER_BY,
     REASON_TYPE_RISK, REASON_UNKNOWN_COLUMN, REASON_UNKNOWN_SCHEMA,
     REASON_WHERE,
 )
@@ -186,6 +186,64 @@ class TestVerdicts:
         assert not verdict.eligible
         assert verdict.reason == REASON_ORDER_BY
         assert verdict.proven
+
+    def test_order_by_without_limit_reports_order_by(self):
+        verdict = source_query_verdict(
+            plan("select * from wrapper order by temperature"),
+            "time", MOTE)
+        assert verdict.reason == REASON_ORDER_BY
+        assert verdict.proven
+
+    @pytest.mark.parametrize("sql", [
+        "select * from wrapper limit 5",
+        "select * from wrapper order by temperature limit 5",
+        "select * from wrapper order by temperature limit 1 offset 2",
+    ])
+    def test_limit_above_one_reports_limit_offset(self, sql):
+        verdict = source_query_verdict(plan(sql), "count", MOTE)
+        assert verdict.reason == REASON_LIMIT_OFFSET
+        assert verdict.proven
+
+    @pytest.mark.parametrize("sql", [
+        "select * from wrapper order by 1 limit 1",
+        "select * from wrapper order by temperature + 1 limit 1",
+    ])
+    def test_ordinal_and_expression_keys_report_order_by(self, sql):
+        verdict = source_query_verdict(plan(sql), "count", MOTE)
+        assert verdict.reason == REASON_ORDER_BY
+
+    def test_top_one_over_columns_is_eligible(self):
+        verdict = source_query_verdict(
+            plan("select light as temperature, temperature as light "
+                 "from wrapper where node_id > 0 "
+                 "order by temperature desc limit 1"),
+            "count", MOTE)
+        assert verdict.eligible
+        assert verdict.detail.startswith("top-1")
+
+    def test_device_fleet_query_is_eligible_and_proven(self):
+        """The fleet workload's ``select * ... order by timed desc limit
+        1`` is eligible with a known schema, and the runtime attaches the
+        top-1 state it promises."""
+        from repro.simulation.workload import payload_descriptor
+
+        descriptor = payload_descriptor("cam", 1, 100, 64)
+        verdicts = descriptor_verdicts(descriptor,
+                                       registry=default_registry())
+        verdict = verdicts[("input", "src")]
+        assert verdict.eligible and verdict.reason is None
+        assert verdict.detail.startswith("top-1")
+        from repro.container import GSNContainer
+
+        with GSNContainer(name="fleet", simulated=True) as container:
+            sensor = container.deploy(descriptor)
+            container.run_for(1_000)
+            status = sensor.incremental_status()
+            assert status["fast_paths"] == {"input/src": "top-1"}
+            assert status["static"]["verdicts"]["input/src"]["eligible"]
+            counters = status["counters"]
+            assert counters["aggregate_hits"] > 0
+            assert counters["static_disagreements"] == 0
 
     def test_unknown_schema_is_not_a_proof(self):
         verdict = source_query_verdict(
