@@ -437,12 +437,12 @@ def test_incremental_min_rising_series() -> None:
 
 def test_incremental_static_coverage() -> None:
     """gsn-plan's static fast-path coverage over the shipped examples
-    fleet — the deploy-time breadth claim behind the matrix. Recorded
-    so check_micro.py can fail on coverage regressions."""
+    fleet, computed offline — the breadth claim behind the matrix.
+    Recorded so check_micro.py can fail on coverage regressions."""
     import glob
     import os
 
-    from repro.analysis.planpass import descriptor_verdicts
+    from repro.analysis.planpass import plan_descriptor
     from repro.descriptors.xml_io import descriptor_from_xml
     from repro.wrappers.registry import default_registry
 
@@ -453,75 +453,15 @@ def test_incremental_static_coverage() -> None:
     for path in sorted(glob.glob(pattern)):
         with open(path) as handle:
             descriptor = descriptor_from_xml(handle.read())
-        for verdict in descriptor_verdicts(descriptor,
-                                           registry=registry).values():
-            total += 1
-            eligible += bool(verdict.eligible)
+        covered, queries = plan_descriptor(descriptor,
+                                           registry=registry).coverage()
+        eligible += covered
+        total += queries
     assert total > 0
     register_metric("fast_path_static_coverage", {
         "examples_eligible": eligible,
         "examples_total": total,
         "examples_percent": round(100.0 * eligible / total, 1),
-    })
-
-
-def test_static_verdict_overhead() -> None:
-    """gsn-plan's cost is paid once per deploy, not per trigger.
-
-    Records the one-off classification time (``deploy_verdict_us``) and
-    the per-trigger difference between a sensor carrying static verdicts
-    and one without (``per_trigger_overhead_ns``) — the hot path only
-    ever reads the already-chosen route, so the difference is noise
-    around zero. CI asserts it stays under 2000 ns.
-    """
-    from repro.analysis.planpass import descriptor_verdicts
-    from repro.wrappers.registry import default_registry
-
-    descriptor = _sensor_descriptor([("src", "1000", _AGG_QUERY)],
-                                    "select * from src")
-    registry = default_registry()
-    repeats = 50
-    start = perf_counter()
-    for _ in range(repeats):
-        verdicts = descriptor_verdicts(descriptor, registry=registry)
-    deploy_us = (perf_counter() - start) / repeats * 1_000_000
-
-    def per_trigger(static_verdicts):
-        clock = VirtualClock(1_000_000)
-        wrapper = ScriptedWrapper()
-        wrapper.script(lambda now: {"v": (now * 37) % 1_000},
-                       StreamSchema.build(v=DataType.INTEGER))
-        wrapper.attach(clock)
-        wrapper.configure({})
-        table = MemoryStorage().create(
-            "out", descriptor.output_structure,
-            RetentionPolicy("count", 1_000))
-        sensor = VirtualSensor(descriptor, clock, {"src": wrapper},
-                               output_table=table,
-                               static_verdicts=static_verdicts)
-        sensor.start()
-        for _ in range(1_100):
-            clock.advance(1)
-            wrapper.tick()
-        start = perf_counter()
-        for _ in range(500):
-            clock.advance(1)
-            wrapper.tick()
-        return (perf_counter() - start) / 500
-
-    # Interleave the two variants and keep the fastest of each so a
-    # drifting machine cannot masquerade as a per-trigger overhead.
-    with_samples, without_samples = [], []
-    for _ in range(3):
-        with_samples.append(per_trigger(verdicts))
-        without_samples.append(per_trigger(None))
-    with_verdicts = min(with_samples)
-    without = min(without_samples)
-    register_metric("static_verdict_overhead", {
-        "deploy_verdict_us": deploy_us,
-        "per_trigger_overhead_ns": (with_verdicts - without) * 1e9,
-        "per_trigger_with_verdicts_ms": with_verdicts * 1_000,
-        "per_trigger_without_ms": without * 1_000,
     })
 
 

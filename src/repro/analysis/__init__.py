@@ -45,9 +45,8 @@ _EXPORTS = {
                    "attach_descriptor_lines", "estimate_window_memory",
                    "schema_check"),
         "planpass": ("AnnotatedPlan", "DescriptorPlan", "PlanVerdict",
-                     "annotate_plan", "descriptor_verdicts",
-                     "plan_descriptor", "source_query_verdict",
-                     "structural_verdict"),
+                     "annotate_plan", "plan_descriptor",
+                     "source_query_verdict", "structural_verdict"),
         "racegraph": ("RaceAnalysis", "analyze_races"),
         "racewitness": ("RaceWitness", "RaceWitnessViolation"),
         "rules": ("ERROR", "WARNING", "Finding", "Report", "Rule",

@@ -1,19 +1,19 @@
-"""gsn-plan: deploy-time query-plan analysis (rules GSN7xx).
+"""gsn-plan: offline query-plan analysis (rules GSN7xx).
 
-The runtime half of the "adaptive query execution plan" — the planner's
-join-strategy choice plus the incremental fast path — discovers its own
-limits *by failing*: a per-source query is assumed fast-path-eligible
-until its accumulator poisons itself. This pass moves that decision to
-deploy time. For every per-source and output query of a descriptor it
-builds the logical plan tree and annotates each node with
+The sensor decides each per-source query's fast path when it attaches
+it, and a delta state that later hits a value it cannot fold poisons
+itself. This linter predicts both before anything is deployed
+(``gsn-lint --plan``, ``deploy(strict=True)``). For every per-source
+and output query of a descriptor it builds the logical plan tree and
+annotates each node with
 
 (a) the inferred schema (:mod:`repro.analysis.schema_infer`),
 (b) a cardinality/cost estimate derived from declared window sizes and
     sampling rates, and
 (c) a **fast-path eligibility verdict** — eligible, or ineligible with a
-    stable reason from the taxonomy shared with
-    :mod:`repro.sqlengine.incremental` (so the static verdict and the
-    runtime attachment agree by construction).
+    stable reason from the taxonomy of
+    :mod:`repro.sqlengine.incremental`, decided by the same classifier
+    and missing-column check the sensor attaches with.
 
 Rules:
 
@@ -34,7 +34,6 @@ schema pass's "prove it or stay silent" posture.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ from repro.sqlengine.incremental import (
     REASON_ORDER_BY, REASON_PROJECTION, REASON_SET_OPERATION,
     REASON_SUBQUERY, REASON_TYPE_RISK,
     REASON_UNKNOWN_COLUMN, REASON_UNKNOWN_SCHEMA, REASON_WHERE,
-    classify_join, classify_with_reason,
+    classify_join, classify_with_reason, missing_columns,
 )
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import (
@@ -77,8 +76,6 @@ from repro.analysis.schema_infer import (
     RelSchema, infer_output_schema, wrapper_relation_schema,
 )
 
-logger = logging.getLogger("repro.analysis.planpass")
-
 SourceKey = Tuple[str, str]
 
 #: GSN704 budget: rows the engine is assumed able to touch per second.
@@ -89,15 +86,6 @@ CROSS_PRODUCT_ROW_LIMIT = 250_000
 
 #: GSN703 threshold: sorting more than this without a LIMIT is flagged.
 SORT_ROW_LIMIT = 100_000
-
-#: Ineligibility reasons that are *proofs* — the manager may route the
-#: source straight to the legacy executor without consulting the runtime
-#: classifier. ``unknown-schema`` is excluded: it means the analyzer
-#: could not see, not that it proved anything; the runtime (which knows
-#: the live schema) keeps the final say there.
-PROVEN_INELIGIBILITY_REASONS = INELIGIBILITY_REASONS - {
-    REASON_UNKNOWN_SCHEMA,
-}
 
 _REASON_DETAILS = {
     REASON_SET_OPERATION: "set operations require full re-evaluation",
@@ -135,12 +123,6 @@ class PlanVerdict:
         if self.reason is not None \
                 and self.reason not in INELIGIBILITY_REASONS:
             raise ValueError(f"unknown ineligibility reason {self.reason!r}")
-
-    @property
-    def proven(self) -> bool:
-        """Whether an ineligible verdict is a proof (vs. "could not see")."""
-        return (not self.eligible
-                and self.reason in PROVEN_INELIGIBILITY_REASONS)
 
     def as_dict(self) -> Dict[str, object]:
         return {"eligible": self.eligible, "reason": self.reason,
@@ -623,14 +605,14 @@ def _eligible_detail(classified: Classified) -> str:
 
 def source_query_verdict(plan: SelectPlan, window_kind: str,
                          wrapper_schema: Optional[RelSchema]) -> PlanVerdict:
-    """The full deploy-time verdict for one per-source query.
+    """The offline verdict for one per-source query.
 
-    Mirrors :meth:`VirtualSensor._attach_fast_path` exactly: identity
-    queries attach over any window; delta states (flat or grouped
-    accumulators, the top-1 row) ride the window observer protocol,
-    which both count and time windows publish, and need every
-    referenced column present in the materialized relation; on top of
-    that, anything the state could *poison* on (type mismatches, division by a data-dependent
+    Mirrors :meth:`VirtualSensor._attach_fast_path` exactly: the same
+    :func:`classify_with_reason`, identity queries attach over any
+    window, and delta states (flat or grouped accumulators, the top-1
+    row) need every referenced column present in the window, by the
+    same :func:`missing_columns`. On top of that, anything the state
+    could *poison* on (type mismatches, division by a data-dependent
     divisor) is rejected as ``type-risk`` so that an eligible verdict
     is a no-poison proof.
     """
@@ -645,8 +627,7 @@ def source_query_verdict(plan: SelectPlan, window_kind: str,
         return PlanVerdict(False, REASON_UNKNOWN_SCHEMA,
                            "wrapper schema not statically derivable; "
                            "the runtime decides at attach time")
-    missing = sorted(name for name in classified.referenced
-                     if name not in wrapper_schema)
+    missing = missing_columns(classified, wrapper_schema)
     if missing:
         return PlanVerdict(False, REASON_UNKNOWN_COLUMN,
                            f"column(s) {', '.join(missing)} not in the "
@@ -897,20 +878,3 @@ def _budget_finding(annotated: AnnotatedPlan, src, report: Report,
             f"sensor cannot keep up — shrink the window, lower the "
             f"sampling rate, or make the query fast-path eligible",
             location=context, source=source)
-
-
-def descriptor_verdicts(descriptor: VirtualSensorDescriptor,
-                        registry: Optional[WrapperRegistry] = None
-                        ) -> Dict[SourceKey, PlanVerdict]:
-    """Never-raising verdict map for one descriptor.
-
-    The deploy hook: :meth:`VirtualSensorManager.deploy` calls this to
-    hand the sensor its static verdicts; a failing plan pass must never
-    block a deployment, so any error degrades to "no verdicts".
-    """
-    try:
-        return plan_descriptor(descriptor, registry=registry).verdicts
-    except Exception:
-        logger.exception("plan pass failed for %s; deploying without "
-                         "static verdicts", descriptor.name)
-        return {}

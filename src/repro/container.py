@@ -508,7 +508,7 @@ class GSNContainer:
         produced = []
         fast_paths = []
         poisoned = []
-        static_verdicts = []
+        attach_decisions = []
         for sensor in self.vsm.sensors():
             produced.append(({"sensor": sensor.name},
                              sensor.elements_produced))
@@ -520,14 +520,14 @@ class GSNContainer:
                 )
             static = sensor.incremental_status()["static"]
             for source, verdict in static["verdicts"].items():
-                static_verdicts.append((
+                attach_decisions.append((
                     {"sensor": sensor.name, "source": source,
                      "verdict": ("eligible" if verdict["eligible"]
                                  else "ineligible"),
                      "reason": verdict["reason"] or ""},
                     1,
                 ))
-        eligible, total = self.vsm.static_coverage()
+        coverage = self.vsm.static_coverage()[2]
         crashes = []
         witness = crashwitness.active()
         if witness is not None:
@@ -546,15 +546,14 @@ class GSNContainer:
                            "path after a delta error.",
                            poisoned),
             gauge_family("gsn_fastpath_static",
-                         "Deploy-time gsn-plan fast-path verdict per "
-                         "per-source query (value is always 1; the "
+                         "Fast-path attach decision per per-source "
+                         "query, made at deploy (value is always 1; the "
                          "verdict/reason labels carry the result).",
-                         static_verdicts),
+                         attach_decisions),
             gauge_family("gsn_fastpath_static_coverage_percent",
-                         "Share of per-source queries gsn-plan proved "
-                         "fast-path eligible across deployed sensors.",
-                         [({}, round(100.0 * eligible / total, 1)
-                           if total else 0.0)]),
+                         "Share of per-source queries whose fast path "
+                         "attached, across deployed sensors.",
+                         [({}, coverage)]),
             counter_family("gsn_thread_crashes_total",
                            "Unexpected thread crashes seen by the runtime "
                            "crash witness, by owning component.",
@@ -656,10 +655,6 @@ class GSNContainer:
             ))
         return families
 
-    def _static_coverage(self) -> float:
-        eligible, total = self.vsm.static_coverage()
-        return round(100.0 * eligible / total, 1) if total else 0.0
-
     def metrics_text(self) -> str:
         """The Prometheus text exposition served at ``/metrics``."""
         return self.metrics.expose_text()
@@ -690,7 +685,8 @@ class GSNContainer:
             "uptime_ms": self._uptime.uptime_ms(),
             "time": self.clock.now(),
             "simulated": self.simulated,
-            "fastpath_static_coverage_percent": self._static_coverage(),
+            "fastpath_static_coverage_percent":
+                self.vsm.static_coverage()[2],
             "virtual_sensors": self.vsm.status(),
             "queries": self.processor.status(),
             "subscriptions": self.repository.status(),

@@ -132,7 +132,6 @@ class FastPathCounters:
         self.compiled_queries = 0  # guarded-by: FastPathCounters._lock
         self.interpreted_queries = 0  # guarded-by: FastPathCounters._lock
         self.poisoned = 0  # guarded-by: FastPathCounters._lock
-        self.static_disagreements = 0  # guarded-by: FastPathCounters._lock
         self._lock = new_lock("FastPathCounters._lock")
 
     def record_view(self, from_view: bool) -> None:
@@ -196,13 +195,6 @@ class FastPathCounters:
         with self._lock:
             self.poisoned += 1
 
-    def record_static_disagreement(self) -> None:
-        """A statically-eligible query failed to attach or poisoned at
-        runtime — the deploy-time verdict was wrong, which gsn-plan
-        treats as a defect in the analyzer, not in the sensor."""
-        with self._lock:
-            self.static_disagreements += 1
-
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return {
@@ -219,7 +211,6 @@ class FastPathCounters:
                 "compiled_queries": self.compiled_queries,
                 "interpreted_queries": self.interpreted_queries,
                 "poisoned": self.poisoned,
-                "static_disagreements": self.static_disagreements,
             }
 
 

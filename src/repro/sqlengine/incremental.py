@@ -40,7 +40,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+    Any, Callable, Container, Dict, FrozenSet, List, Optional, Sequence,
     Tuple, Union,
 )
 
@@ -73,11 +73,11 @@ INCREMENTAL_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 
 # -- ineligibility reason taxonomy ------------------------------------------
 #
-# Stable strings shared by this runtime classifier and the deploy-time
-# plan pass (``repro.analysis.planpass``): keeping them in one place is
-# what makes the static verdict and the runtime attachment agree by
-# construction. Each names the *first* disqualifying feature found; the
-# set doubles as the worklist for extending delta maintenance.
+# Stable strings naming the *first* disqualifying feature found. The
+# sensor records one per source that does not attach (its status
+# ``static`` block); the offline linter ``repro.analysis.planpass``
+# reports the same strings, so both speak one vocabulary. The set
+# doubles as the worklist for extending delta maintenance.
 
 REASON_SET_OPERATION = "set-operation"
 REASON_HAVING = "having"
@@ -91,7 +91,11 @@ REASON_WHERE = "where-clause"
 REASON_PROJECTION = "projection"
 REASON_NON_INCREMENTAL_FUNCTION = "non-incremental-function"
 REASON_EXPRESSION_ARGUMENT = "expression-argument"
-# Reasons only the deploy-time pass can decide (schema context).
+# Reasons that need the window's schema. The sensor decides
+# ``unknown-column`` (see :func:`missing_columns`) and reports
+# ``type-risk`` for a state that poisons while it attaches; the linter,
+# which may not know the schema, adds ``unknown-schema`` and reads
+# ``type-risk`` off the inferred types.
 REASON_UNKNOWN_SCHEMA = "unknown-schema"
 REASON_UNKNOWN_COLUMN = "unknown-column"
 REASON_TYPE_RISK = "type-risk"
@@ -324,6 +328,15 @@ def _classify_top_one(plan: SelectPlan, binding: str
         return None, reason
     return TopOneQuery(binding, plan.items, tuple(order), plan.where,
                        frozenset(referenced)), None
+
+
+def missing_columns(classified: Union[AggregateQuery, TopOneQuery],
+                    columns: Container[str]) -> List[str]:
+    """The columns a delta-state query reads that ``columns`` lacks,
+    sorted. Non-empty means ``unknown-column``: no state attaches and
+    the executor keeps raising its error at query time."""
+    return sorted(name for name in classified.referenced
+                  if name not in columns)
 
 
 def _where_columns(plan: SelectPlan, binding: str,

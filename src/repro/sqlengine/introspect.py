@@ -9,7 +9,7 @@ analyzer never disagrees with the executor about a column's name.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
 from repro.sqlengine.ast_nodes import (
     ColumnRef, FunctionCall, Literal, Node, SelectStatement,
@@ -33,16 +33,23 @@ def expression_name(expr: Node) -> str:
 
 def dedupe_columns(names: List[str]) -> List[str]:
     """Disambiguate duplicate output names the way the executor does
-    (``a, a`` becomes ``a, a_2``)."""
-    seen: Dict[str, int] = {}
+    (``a, a`` becomes ``a, a_2``).
+
+    The first use of a name keeps it; a repeat becomes ``name_N`` with
+    the smallest ``N >= 2`` that no column of ``names`` already has, so
+    ``v, v, k as v_2`` gives ``v, v_3, v_2``."""
+    taken = set(names)
+    seen = set()
     result = []
     for name in names:
         if name in seen:
-            seen[name] += 1
-            result.append(f"{name}_{seen[name]}")
-        else:
-            seen[name] = 1
-            result.append(name)
+            suffix = 2
+            while f"{name}_{suffix}" in taken:
+                suffix += 1
+            name = f"{name}_{suffix}"
+            taken.add(name)
+        seen.add(name)
+        result.append(name)
     return result
 
 

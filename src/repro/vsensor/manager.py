@@ -10,7 +10,7 @@ story the demo centers on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency import new_lock
 from repro.descriptors.model import VirtualSensorDescriptor
@@ -23,7 +23,7 @@ from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import TraceBuffer
 from repro.status import UptimeTracker, status_doc
 from repro.storage.manager import StorageManager
-from repro.vsensor.virtual_sensor import VirtualSensor
+from repro.vsensor.virtual_sensor import VirtualSensor, coverage_percent
 from repro.wrappers.base import Wrapper
 from repro.wrappers.registry import WrapperRegistry
 from repro.wrappers.remote import RemoteWrapper, SubscribeFunc
@@ -127,7 +127,6 @@ class VirtualSensorManager:
                 node=self.node,
                 registry=self.metrics,
                 trace_sink=self.trace_sink,
-                static_verdicts=self._static_verdicts(descriptor),
                 events=self.events,
             )
         except Exception:
@@ -144,21 +143,6 @@ class VirtualSensorManager:
 
     def _knows_wrapper(self, name: str) -> bool:
         return name in self.registry
-
-    def _static_verdicts(self, descriptor: VirtualSensorDescriptor) -> dict:
-        """Deploy-time gsn-plan verdicts for one descriptor.
-
-        Advisory: the verdicts pre-route proven-ineligible per-source
-        queries to per-trigger execution and let the runtime report any
-        disagreement with an eligible verdict. Never blocks a deploy —
-        any analysis failure yields an empty map (runtime classification
-        then decides alone, exactly as before gsn-plan existed).
-        """
-        # deferred: the analysis layer imports descriptor/sqlengine
-        # modules and must stay optional at runtime
-        from repro.analysis.planpass import descriptor_verdicts
-
-        return descriptor_verdicts(descriptor, registry=self.registry)
 
     def _strict_check(self, descriptor: VirtualSensorDescriptor) -> None:
         """The ``strict=True`` pre-deploy gate.
@@ -275,18 +259,19 @@ class VirtualSensorManager:
         for name in self.sensor_names():
             self.undeploy(name, keep_storage=keep_storage)
 
-    def static_coverage(self) -> tuple:
-        """``(eligible, total)`` gsn-plan verdicts over deployed sensors."""
+    def static_coverage(self) -> Tuple[int, int, float]:
+        """``(eligible, total, percent)`` of per-source queries whose
+        fast path attached, over the deployed sensors."""
         eligible = 0
         total = 0
         for sensor in self.sensors():
-            block = sensor.incremental_status().get("static", {})
-            eligible += int(block.get("eligible", 0))
-            total += int(block.get("total", 0))
-        return eligible, total
+            block = sensor.incremental_status()["static"]
+            eligible += block["eligible"]
+            total += block["total"]
+        return eligible, total, coverage_percent(eligible, total)
 
     def status(self) -> dict:
-        eligible, total = self.static_coverage()
+        eligible, total, percent = self.static_coverage()
         with self._lock:
             deployed = sorted(self._sensors)
             snapshot = dict(self._sensors)
@@ -300,8 +285,7 @@ class VirtualSensorManager:
             uptime_ms=self._uptime.uptime_ms(),
             deployed=deployed,
             deploy_count=deploy_count,
-            static_coverage_percent=(round(100.0 * eligible / total, 1)
-                                     if total else 0.0),
+            static_coverage_percent=percent,
             sensors={name: sensor.status()
                      for name, sensor in snapshot.items()},
         )

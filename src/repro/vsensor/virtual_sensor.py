@@ -28,9 +28,11 @@ from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import PipelineTracer, Span, TraceBuffer
 from repro.sqlengine.executor import Catalog
 from repro.sqlengine.incremental import (
+    REASON_TYPE_RISK, REASON_UNKNOWN_COLUMN, REASON_WHERE,
     AggregateQuery, Classified, DeltaTopN, GroupedAggregateQuery,
     GroupedAggregateState, IdentityQuery, IncrementalAggregateState,
-    IncrementalJoinState, TopOneQuery, classify, classify_join,
+    IncrementalJoinState, TopOneQuery, classify_join, classify_with_reason,
+    missing_columns,
 )
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.physical import (
@@ -68,6 +70,11 @@ _DELTA_STATES = {
 }
 
 
+def coverage_percent(eligible: int, total: int) -> float:
+    """Share of per-source queries on a fast path, in percent."""
+    return round(100.0 * eligible / total, 1) if total else 0.0
+
+
 class VirtualSensor:
     """One deployed virtual sensor.
 
@@ -85,7 +92,6 @@ class VirtualSensor:
                  node: str = "",
                  registry: Optional[MetricsRegistry] = None,
                  trace_sink: Optional[TraceBuffer] = None,
-                 static_verdicts: Optional[Dict[SourceKey, Any]] = None,
                  events: Optional[FlightRecorder] = None
                  ) -> None:
         self.descriptor = descriptor
@@ -125,14 +131,6 @@ class VirtualSensor:
         #: harness uses these to feed its node queueing model.
         self.processing_hooks: List[Callable[[int, float], None]] = []
 
-        # Deploy-time fast-path verdicts from gsn-plan
-        # (repro.analysis.planpass.PlanVerdict, duck-typed so the runtime
-        # never imports the analysis layer). A proven-ineligible verdict
-        # routes the source straight to per-trigger execution; an eligible
-        # verdict that fails to hold at runtime is a reported defect.
-        self._static_verdicts: Dict[SourceKey, Any] = dict(
-            static_verdicts or {}
-        )
         # Plans are prepared once per deployment and reused per trigger —
         # this is the plan cache half of GSN's "adaptive query execution".
         self._source_plans: Dict[SourceKey, SelectPlan] = {}
@@ -140,6 +138,9 @@ class VirtualSensor:
         # Fast-path classification of per-source plans, plus the delta
         # states (accumulators, top-1 rows) listening to the histories.
         self._fast_paths: Dict[SourceKey, Classified] = {}
+        # The attach decision per source: None when its fast path
+        # attached, else the taxonomy reason (the status "static" block).
+        self._attach_reasons: Dict[SourceKey, Optional[str]] = {}
         self._agg_states: Dict[SourceKey, DeltaState] = {}
         # Delta-maintained two-source equi-joins, one per stream whose
         # output query qualifies (synchronous containers only).
@@ -244,85 +245,53 @@ class VirtualSensor:
 
     def _attach_fast_path(self, stream_name: str,
                           source: SourceRuntime) -> None:
-        """Classify one per-source plan and wire up its fast path.
+        """Classify one per-source plan, wire up its fast path and record
+        the decision: ``None`` when it attached, else the reason.
 
         Anything that doesn't qualify simply stays on the generic
-        executor — classification is advisory, never load-bearing. When
-        gsn-plan supplied a static verdict, a *proven*-ineligible one
-        skips classification outright (per-trigger execution up front),
-        while an eligible one that fails to attach here is a
-        disagreement — the static analysis promised a fast path that the
-        runtime could not deliver — and is counted as a defect.
+        executor — classification is advisory, never load-bearing.
         """
         key = (stream_name, source.spec.alias)
-        verdict = self._static_verdicts.get(key)
-        if verdict is not None and not verdict.eligible \
-                and getattr(verdict, "proven", True):
-            return
-        attached = self._attach_classified(key, stream_name, source)
-        if not attached and verdict is not None and verdict.eligible:
-            self.fast_paths.record_static_disagreement()
-            logger.warning(
-                "%s: gsn-plan proved %s/%s fast-path eligible but the "
-                "runtime could not attach it; please report this "
-                "analyzer defect", self.name, stream_name,
-                source.spec.alias,
-            )
-
-    def _attach_classified(self, key: SourceKey, stream_name: str,
-                           source: SourceRuntime) -> bool:
-        classified = classify(self._source_plans[key])
-        if classified is None:
-            return False
+        classified, reason = classify_with_reason(self._source_plans[key])
+        state: Optional[DeltaState] = None
         history = source.history
-        if isinstance(classified, IdentityQuery):
-            self._fast_paths[key] = classified
-            return True
-        # Delta states listen to the window's history, under count and
-        # time retention alike; the referenced columns must
-        # all exist in it, otherwise the executor must keep raising its
-        # unknown-column error at query time.
-        if any(name not in history._index
-               for name in classified.referenced):
-            return False
-        def poisoned(exc: BaseException, _key: SourceKey = key) -> None:
-            # Counted per sensor (fastpath_poisoned_total); the query
-            # text itself is logged once by the accumulator.
-            self.fast_paths.record_poisoned()
-            if self.events is not None:
-                self.events.record("poisoned", self.name,
-                                   stream=_key[0], alias=_key[1],
-                                   error=f"{type(exc).__name__}: {exc}")
-            verdict = self._static_verdicts.get(_key)
-            if verdict is not None and verdict.eligible:
-                # gsn-plan proved this query could not poison; it did.
-                self.fast_paths.record_static_disagreement()
-                logger.warning(
-                    "%s: statically-eligible query %s/%s poisoned at "
-                    "runtime (%s); please report this analyzer defect",
-                    self.name, *_key, exc,
-                )
-
-        label = (f"{self.name}/{stream_name}/{source.spec.alias}: "
-                 f"{source.spec.query}")
-        kind = _DELTA_STATES[type(classified)][0]
-        try:
-            state: DeltaState = kind(classified, history, label=label,
-                                     on_poison=poisoned)
-        except Unsupported:
-            return False  # a WHERE the emitter cannot compile
-        if not state.healthy:
-            return False
-        history.add_listener(state)
+        if classified is not None \
+                and not isinstance(classified, IdentityQuery):
+            # Delta states listen to the window's history, under count
+            # and time retention alike; the referenced columns must all
+            # exist in it, otherwise the executor must keep raising its
+            # unknown-column error at query time.
+            if missing_columns(classified, history._index):
+                reason = REASON_UNKNOWN_COLUMN
+            else:
+                label = (f"{self.name}/{stream_name}/{source.spec.alias}: "
+                         f"{source.spec.query}")
+                try:
+                    state = _DELTA_STATES[type(classified)][0](
+                        classified, history, label=label,
+                        on_poison=lambda exc: self._poisoned(*key, exc))
+                except Unsupported:
+                    reason = REASON_WHERE  # the emitter cannot compile it
+                else:
+                    if not state.healthy:
+                        reason = REASON_TYPE_RISK  # poisoned attaching
+        self._attach_reasons[key] = reason
+        if reason is not None:
+            return
+        assert classified is not None
         self._fast_paths[key] = classified
-        self._agg_states[key] = state
-        return True
+        if state is not None:
+            history.add_listener(state)
+            self._agg_states[key] = state
 
-    def _join_poisoned(self, stream_name: str, exc: BaseException) -> None:
+    def _poisoned(self, stream_name: str, alias: str,
+                  exc: BaseException) -> None:
+        # Counted per sensor (fastpath_poisoned_total); the query text
+        # itself is logged once by the state.
         self.fast_paths.record_poisoned()
         if self.events is not None:
             self.events.record("poisoned", self.name, stream=stream_name,
-                               alias="<join>",
+                               alias=alias,
                                error=f"{type(exc).__name__}: {exc}")
 
     def _attach_join(self, stream_name: str, runtime: StreamRuntime) -> None:
@@ -356,7 +325,8 @@ class VirtualSensor:
             state = IncrementalJoinState(
                 spec, left.history, right.history,
                 label=f"{self.name}/{stream_name}: {runtime.spec.query}",
-                on_poison=lambda exc: self._join_poisoned(stream_name, exc),
+                on_poison=lambda exc: self._poisoned(stream_name, "<join>",
+                                                     exc),
             )
         except Exception:
             # Unresolvable columns etc.: the executor raises the real
@@ -715,24 +685,21 @@ class VirtualSensor:
         }
 
     def _static_status(self) -> dict:
-        """Deploy-time gsn-plan verdicts and fast-path coverage."""
-        verdicts = {}
-        eligible = 0
-        for (stream_name, alias), verdict in sorted(
-                self._static_verdicts.items()):
-            verdicts[f"{stream_name}/{alias}"] = {
-                "eligible": bool(verdict.eligible),
-                "reason": getattr(verdict, "reason", None),
-            }
-            if verdict.eligible:
-                eligible += 1
-        total = len(self._static_verdicts)
+        """The attach decision per source and fast-path coverage."""
+        verdicts = {
+            f"{stream_name}/{alias}": {"eligible": reason is None,
+                                       "reason": reason}
+            for (stream_name, alias), reason
+            in sorted(self._attach_reasons.items())
+        }
+        eligible = sum(reason is None
+                       for reason in self._attach_reasons.values())
+        total = len(verdicts)
         return {
             "verdicts": verdicts,
             "eligible": eligible,
             "total": total,
-            "coverage_percent": round(100.0 * eligible / total, 1)
-            if total else 0.0,
+            "coverage_percent": coverage_percent(eligible, total),
         }
 
     def __repr__(self) -> str:

@@ -2,8 +2,9 @@
 
 ``repro.analysis`` re-exports its whole API lazily (PEP 562), so a
 container process that asks for ``crashwitness`` / ``loopwitness`` does
-not also load the whole-program analyzers. Checked in a subprocess:
-this process has long since imported everything.
+not also load the whole-program analyzers, and a non-strict deploy
+runs no descriptor analysis (gsn-plan is an offline linter). Checked
+in a subprocess: this process has long since imported everything.
 """
 
 import subprocess
@@ -15,7 +16,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 ANALYZERS = ("callgraph", "lockgraph", "flowgraph", "racegraph",
-             "asyncgraph", "locklint")
+             "asyncgraph", "locklint", "planpass", "passes", "rules",
+             "schema_infer")
 
 PROGRAM = textwrap.dedent("""
     import sys

@@ -3,15 +3,18 @@
 Covers: the cost model's cardinality estimates, constant folding and
 dead-predicate proofs, the per-query fast-path verdicts, the GSN701–705
 rule findings over seeded-bad descriptors, the descriptor-level verdict
-map the VSM consumes, and the line backfill over descriptor XML.
+map, its agreement with the sensor's own attach decision, and the line
+backfill over descriptor XML.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.planpass import (
-    CROSS_PRODUCT_ROW_LIMIT, PROVEN_INELIGIBILITY_REASONS, SORT_ROW_LIMIT,
+    CROSS_PRODUCT_ROW_LIMIT, SORT_ROW_LIMIT,
     PlanVerdict, _UNDECIDED, annotate_plan, dead_predicate,
-    descriptor_verdicts, fold_constant, plan_descriptor,
+    fold_constant, plan_descriptor,
     source_query_verdict, structural_verdict,
 )
 from repro.analysis.passes import analyze, attach_descriptor_lines
@@ -20,7 +23,7 @@ from repro.descriptors.xml_io import (
     descriptor_from_file, descriptor_line_index,
 )
 from repro.sqlengine.incremental import (
-    REASON_JOIN, REASON_LIMIT_OFFSET, REASON_ORDER_BY,
+    REASON_JOIN, REASON_LIMIT_OFFSET, REASON_ORDER_BY, REASON_PROJECTION,
     REASON_TYPE_RISK, REASON_UNKNOWN_COLUMN, REASON_UNKNOWN_SCHEMA,
     REASON_WHERE,
 )
@@ -185,14 +188,12 @@ class TestVerdicts:
             "count", MOTE)
         assert not verdict.eligible
         assert verdict.reason == REASON_ORDER_BY
-        assert verdict.proven
 
     def test_order_by_without_limit_reports_order_by(self):
         verdict = source_query_verdict(
             plan("select * from wrapper order by temperature"),
             "time", MOTE)
         assert verdict.reason == REASON_ORDER_BY
-        assert verdict.proven
 
     @pytest.mark.parametrize("sql", [
         "select * from wrapper limit 5",
@@ -202,7 +203,6 @@ class TestVerdicts:
     def test_limit_above_one_reports_limit_offset(self, sql):
         verdict = source_query_verdict(plan(sql), "count", MOTE)
         assert verdict.reason == REASON_LIMIT_OFFSET
-        assert verdict.proven
 
     @pytest.mark.parametrize("sql", [
         "select * from wrapper order by 1 limit 1",
@@ -228,8 +228,8 @@ class TestVerdicts:
         from repro.simulation.workload import payload_descriptor
 
         descriptor = payload_descriptor("cam", 1, 100, 64)
-        verdicts = descriptor_verdicts(descriptor,
-                                       registry=default_registry())
+        verdicts = plan_descriptor(descriptor,
+                                   registry=default_registry()).verdicts
         verdict = verdicts[("input", "src")]
         assert verdict.eligible and verdict.reason is None
         assert verdict.detail.startswith("top-1")
@@ -241,18 +241,16 @@ class TestVerdicts:
             status = sensor.incremental_status()
             assert status["fast_paths"] == {"input/src": "top-1"}
             assert status["static"]["verdicts"]["input/src"]["eligible"]
-            counters = status["counters"]
-            assert counters["aggregate_hits"] > 0
-            assert counters["static_disagreements"] == 0
+            assert status["counters"]["aggregate_hits"] > 0
 
     def test_unknown_schema_is_not_a_proof(self):
+        """Without a wrapper schema the linter says it could not see;
+        the sensor, which knows its window, decides at attach time."""
         verdict = source_query_verdict(
             plan("select avg(temperature) as t from wrapper"),
             "count", None)
         assert not verdict.eligible
         assert verdict.reason == REASON_UNKNOWN_SCHEMA
-        assert not verdict.proven
-        assert REASON_UNKNOWN_SCHEMA not in PROVEN_INELIGIBILITY_REASONS
 
     def test_unknown_column(self):
         verdict = source_query_verdict(
@@ -319,15 +317,6 @@ class TestPlanDescriptor:
             descriptor, registry=default_registry()).render()
         assert "fast-path: eligible" in rendered
 
-    def test_descriptor_verdicts_is_total_and_never_raises(self):
-        descriptor = simple_mote_descriptor(window="100")
-        verdicts = descriptor_verdicts(descriptor,
-                                       registry=default_registry())
-        assert set(verdicts) == {("in", "src")}
-        broken = simple_mote_descriptor(source_query="select !! nonsense")
-        assert descriptor_verdicts(broken,
-                                   registry=default_registry()) == {}
-
 
 BAD = "examples/bad"
 
@@ -364,7 +353,7 @@ class TestPlanRules:
                        for f in report.findings)
 
 
-def build_sensor(descriptor, static_verdicts=None, value=7):
+def build_sensor(descriptor, value=7):
     from repro.gsntime.clock import VirtualClock
     from repro.storage.base import RetentionPolicy
     from repro.storage.memory import MemoryStorage
@@ -382,79 +371,68 @@ def build_sensor(descriptor, static_verdicts=None, value=7):
     table = storage.create("out", descriptor.output_structure,
                            RetentionPolicy("all"))
     sensor = VirtualSensor(descriptor, clock, {"src": wrapper},
-                           output_table=table,
-                           static_verdicts=static_verdicts)
+                           output_table=table)
     return sensor, wrapper, clock, table
 
 
 class TestRuntimeConsultation:
-    """The VirtualSensor half of the contract: proven-ineligible routes
-    to legacy up front; an eligible verdict that fails to hold at
-    runtime is counted as a static disagreement."""
-
-    def test_proven_ineligible_skips_attachment(self):
-        descriptor = simple_mote_descriptor(window="10")
-        verdict = PlanVerdict(False, REASON_WHERE, "fabricated proof")
-        sensor, __, __, __ = build_sensor(
-            descriptor, static_verdicts={("in", "src"): verdict})
-        assert not sensor.incremental_status()["fast_paths"]
-
-    def test_unproven_ineligible_lets_runtime_decide(self):
-        descriptor = simple_mote_descriptor(window="10")
-        verdict = PlanVerdict(False, REASON_UNKNOWN_SCHEMA, "could not see")
-        sensor, __, __, __ = build_sensor(
-            descriptor, static_verdicts={("in", "src"): verdict})
-        # The aggregate is attachable, so the runtime attaches it anyway.
-        assert sensor.incremental_status()["fast_paths"]
-        assert sensor.fast_paths.snapshot()["static_disagreements"] == 0
-
-    def test_eligible_verdict_that_cannot_attach_is_a_disagreement(self):
-        descriptor = simple_mote_descriptor(
-            window="10",
-            source_query="select temperature from wrapper")  # projection
-        verdict = PlanVerdict(True, None, "fabricated: analyzer bug")
-        sensor, __, __, __ = build_sensor(
-            descriptor, static_verdicts={("in", "src"): verdict})
-        assert not sensor.incremental_status()["fast_paths"]
-        assert sensor.fast_paths.snapshot()["static_disagreements"] == 1
-
-    def test_agreeing_eligible_verdict_attaches_silently(self):
-        descriptor = simple_mote_descriptor(window="10")
-        verdict = PlanVerdict(True, None, "1 running accumulator(s)")
-        sensor, __, __, __ = build_sensor(
-            descriptor, static_verdicts={("in", "src"): verdict})
-        assert sensor.incremental_status()["fast_paths"]
-        assert sensor.fast_paths.snapshot()["static_disagreements"] == 0
+    """The sensor records its own attach decision per source; the status
+    ``static`` block reads it."""
 
     def test_status_static_block(self):
         descriptor = simple_mote_descriptor(window="10")
-        verdicts = descriptor_verdicts(descriptor,
-                                       registry=default_registry())
-        sensor, __, __, __ = build_sensor(descriptor,
-                                          static_verdicts=verdicts)
+        sensor, __, __, __ = build_sensor(descriptor)
         static = sensor.incremental_status()["static"]
-        assert static["verdicts"]["in/src"]["eligible"] is True
         assert static == {
             "verdicts": {"in/src": {"eligible": True, "reason": None}},
             "eligible": 1, "total": 1, "coverage_percent": 100.0,
         }
+        assert plan_descriptor(
+            descriptor, registry=default_registry()).coverage() == (1, 1)
 
     def test_no_verdicts_reports_zero_coverage(self):
-        descriptor = simple_mote_descriptor(window="10")
+        descriptor = simple_mote_descriptor(
+            window="10",
+            source_query="select temperature from wrapper")  # projection
         sensor, __, __, __ = build_sensor(descriptor)
         static = sensor.incremental_status()["static"]
-        assert static == {"verdicts": {}, "eligible": 0, "total": 0,
-                          "coverage_percent": 0.0}
+        assert not sensor.incremental_status()["fast_paths"]
+        assert static == {
+            "verdicts": {"in/src": {"eligible": False,
+                                    "reason": REASON_PROJECTION}},
+            "eligible": 0, "total": 1, "coverage_percent": 0.0,
+        }
+
+    def test_where_the_emitter_rejects_records_where_clause(self, monkeypatch):
+        from repro.sqlengine import incremental
+        from repro.sqlengine.physical import Unsupported
+
+        def reject(*args, **kwargs):
+            raise Unsupported("fabricated")
+
+        monkeypatch.setattr(incremental, "_compile_row", reject)
+        descriptor = simple_mote_descriptor(
+            window="10", source_query="select avg(temperature) as t "
+                                      "from wrapper where temperature > 0")
+        sensor, __, __, __ = build_sensor(descriptor)
+        verdict = sensor.incremental_status()["static"]["verdicts"]["in/src"]
+        assert verdict == {"eligible": False, "reason": REASON_WHERE}
+        assert not sensor.incremental_status()["fast_paths"]
 
 
 class TestDeployWiring:
     def test_deploy_hands_verdicts_to_the_sensor(self):
+        """The deployed sensor's attach record reaches status and
+        /metrics, and equals what the offline linter says."""
         from repro.container import GSNContainer
 
+        path = "examples/descriptors/averaged-temperature.xml"
         with GSNContainer(name="n1", simulated=True) as container:
-            sensor = container.deploy(descriptor_from_file(
-                "examples/descriptors/averaged-temperature.xml"))
+            sensor = container.deploy(descriptor_from_file(path))
             static = sensor.incremental_status()["static"]
+            linted = plan_descriptor(descriptor_from_file(path),
+                                     registry=default_registry())
+            assert linted.coverage() == (1, 1)
             assert static["total"] == 1
             assert static["verdicts"]["dummy/src1"]["eligible"] is True
             assert static["verdicts"]["dummy/src1"]["reason"] is None
@@ -464,6 +442,58 @@ class TestDeployWiring:
             status = container.vsm.status()
             assert status["counters"]["static_analyzed_sources"] == 1
             assert status["static_coverage_percent"] == 100.0
+            assert container.status()[
+                "fastpath_static_coverage_percent"] == 100.0
+
+
+EXAMPLES = sorted(
+    str(path) for path in (Path(__file__).resolve().parents[2]
+                           / "examples" / "descriptors").glob("*.xml"))
+
+#: Analyzer reasons where the sensor, which knows its window, decides.
+RUNTIME_DECIDES = {REASON_UNKNOWN_SCHEMA, REASON_TYPE_RISK}
+
+
+def _agreement_descriptor(case):
+    """An example file, the device-fleet payload sensor, or a mote
+    sensor running ``case`` as its source query."""
+    from repro.simulation.workload import payload_descriptor
+
+    if case.endswith(".xml"):
+        return descriptor_from_file(case)
+    if case == "payload":
+        return payload_descriptor("cam", 1, 100, 64)
+    return simple_mote_descriptor(source_query=case)
+
+
+class TestAttachAgreement:
+    """The linter's per-source verdict equals the deployed sensor's own
+    attach decision (eligible and reason), except where the linter
+    cannot see the schema or flags a type risk."""
+
+    @pytest.mark.parametrize("case", [
+        *EXAMPLES, "payload",
+        "select temperature from wrapper",
+        "select * from wrapper order by temperature",
+        "select avg(humidity) as h from wrapper",
+        "select node_id, count(*) as n from wrapper group by node_id",
+    ], ids=lambda case: Path(case).name if case.endswith(".xml") else case)
+    def test_linter_verdicts_equal_attach_records(self, case):
+        from repro.container import GSNContainer
+
+        linted = plan_descriptor(_agreement_descriptor(case),
+                                 registry=default_registry())
+        with GSNContainer(name="agree", simulated=True) as container:
+            sensor = container.deploy(_agreement_descriptor(case))
+            static = sensor.incremental_status()["static"]["verdicts"]
+        assert set(static) == {f"{stream}/{alias}"
+                               for stream, alias in linted.verdicts}
+        for (stream, alias), verdict in linted.verdicts.items():
+            if verdict.reason in RUNTIME_DECIDES:
+                continue
+            assert static[f"{stream}/{alias}"] == {
+                "eligible": verdict.eligible, "reason": verdict.reason,
+            }, verdict
 
 
 class TestLineBackfill:

@@ -150,3 +150,37 @@ class TestErrorPositions:
         with pytest.raises(SQLSyntaxError) as excinfo:
             execute("select ~a from t", Catalog())
         assert excinfo.value.position == 7
+
+
+@pytest.mark.parametrize("sql", [
+    "select v, v, k as v_2 from t",
+    "select v, v, v as v_2 from t",
+])
+def test_generated_duplicate_name_skips_explicit_ones(sql):
+    """A repeated output name becomes ``name_N`` with an N no column of
+    the list already has, and an explicit alias keeps its name: the
+    interpreter, the compiled pipeline and schema inference agree."""
+    from repro.analysis.rules import Report
+    from repro.analysis.schema_infer import infer_output_schema
+    from repro.datatypes import DataType
+    from repro.sqlengine.executor import execute_plan
+    from repro.sqlengine.parser import parse_select
+    from repro.sqlengine.physical import catalog_schemas, try_compile
+    from repro.sqlengine.planner import plan_select
+
+    cat = Catalog()
+    cat.register("t", Relation(["v", "k"], [(1, 2)]))
+    plan = plan_select(parse_select(sql))
+    pipeline = try_compile(plan, catalog_schemas(plan, cat))
+    assert pipeline is not None
+    interpreted = execute_plan(plan, cat)
+    compiled = pipeline.execute(cat)
+    report = Report()
+    inferred = infer_output_schema(
+        parse_select(sql),
+        {"t": {"v": DataType.INTEGER, "k": DataType.INTEGER}}, report, "")
+    assert list(interpreted.columns) == ["v", "v_3", "v_2"]
+    assert compiled.columns == interpreted.columns
+    assert tuple(inferred) == tuple(interpreted.columns)
+    assert not report.findings
+    assert interpreted.rows == compiled.rows
