@@ -6,9 +6,10 @@ summary hook prints them after the pytest-benchmark timing tables, so
 both the timings and the figure data the paper plots.
 
 Micro-benchmarks additionally register machine-readable metrics with
-:func:`register_metric`; a session-finish hook persists them to
+:func:`register_metric`; a session-finish hook merges them into
 ``BENCH_micro.json`` at the repo root so CI can archive the numbers and
-the incremental-vs-legacy speedup is tracked across revisions.
+the incremental-vs-legacy speedup is tracked across revisions. A run
+filtered with ``-k`` replaces the cells it measured and keeps the rest.
 """
 
 from __future__ import annotations
@@ -31,14 +32,24 @@ def register_metric(name: str, payload: Any) -> None:
     _METRICS[name] = payload
 
 
+def merge_metrics(path: str, metrics: Dict[str, Any]) -> None:
+    """Write ``metrics`` into the JSON file at ``path``, keeping the
+    cells this run did not measure."""
+    merged: Dict[str, Any] = {}
+    if os.path.exists(path):
+        with open(path) as handle:
+            merged = json.load(handle)
+    merged.update(metrics)
+    with open(path, "w") as handle:
+        json.dump(merged, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def pytest_sessionfinish(session, exitstatus) -> None:
     if not _METRICS:
         return
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(root, "BENCH_micro.json")
-    with open(path, "w") as handle:
-        json.dump(_METRICS, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    merge_metrics(os.path.join(root, "BENCH_micro.json"), _METRICS)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:

@@ -650,7 +650,8 @@ def test_race_witness_overhead() -> None:
     import math
 
     from repro.analysis import racewitness
-    from repro.analysis.racewitness import TrackingLock
+    from repro.analysis.racewitness import RaceWitness, TrackingLock
+    from repro.analysis.witness import arm, disarm
     from repro.concurrency import new_lock
 
     assert racewitness.active() is None, \
@@ -658,8 +659,7 @@ def test_race_witness_overhead() -> None:
     counted = {"cycles": 0, "counting": False}
 
     def per_trigger(armed: bool, count_ops: bool = False):
-        if armed:
-            racewitness.enable(strict=True)
+        witness = arm(RaceWitness(strict=True)) if armed else None
         node = GSNContainer(f"race-witness-bench-{armed}")
         try:
             node.deploy(payload_descriptor("s", 1, 100, 1_024))
@@ -670,7 +670,7 @@ def test_race_witness_overhead() -> None:
                 clock.advance(100)
                 wrapper.tick()
             ticks = 1_000
-            checks_before = racewitness.active().checks if armed else 0
+            checks_before = witness.checks if witness else 0
             counted["counting"] = count_ops
             start = perf_counter()
             for _ in range(ticks):
@@ -678,14 +678,13 @@ def test_race_witness_overhead() -> None:
                 wrapper.tick()
             elapsed = (perf_counter() - start) / ticks
             counted["counting"] = False
-            checks = ((racewitness.active().checks - checks_before) / ticks
-                      if armed else 0.0)
+            checks = ((witness.checks - checks_before) / ticks
+                      if witness else 0.0)
             return elapsed, checks
         finally:
             node.shutdown()
-            if armed:
-                witness = racewitness.active()
-                racewitness.disable()
+            if witness:
+                disarm(witness)
                 assert witness.checks > 0, \
                     "witness armed but never consulted: measuring nothing"
                 assert not witness.unexpected(), \
@@ -741,7 +740,7 @@ def test_race_witness_overhead() -> None:
         return (perf_counter() - start) / rounds
 
     plain = _Probe()  # built disarmed: plain lock, plain setattr
-    witness = racewitness.enable(strict=True)
+    witness = arm(RaceWitness(strict=True))
     try:
         witness.instrument(_Probe)
         tracked = _Probe()
@@ -749,7 +748,7 @@ def test_race_witness_overhead() -> None:
         witnessed_mix = min(mix_cost(tracked) for __ in range(3))
         assert not witness.unexpected()
     finally:
-        racewitness.disable()
+        disarm(witness)
     plain_mix = min(mix_cost(plain) for __ in range(3))
     witness_path = witnessed_mix - plain_mix
     witness_pct = witness_path / bare * 100.0

@@ -35,9 +35,9 @@ _EXPORTS = {
         "asyncgraph": ("AsyncAnalysis", "analyze_async"),
         "callgraph": ("ProgramIndex",),
         "crashwitness": ("CrashWitness",),
+        "dataflow": ("expand_paths",),
         "flowgraph": ("FlowAnalysis", "analyze_flow"),
-        "lockgraph": ("DeadlockAnalysis", "LockGraph", "analyze_deadlocks",
-                      "expand_paths"),
+        "lockgraph": ("DeadlockAnalysis", "LockGraph", "analyze_deadlocks"),
         "locklint": ("lint_file", "lint_files", "lint_source"),
         "lockwitness": ("LockOrderViolation", "LockWitness"),
         "loopwitness": ("LoopLagViolation", "LoopWitness"),

@@ -51,29 +51,18 @@ ceiling while the suite runs.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.callgraph import (
-    Access, Acquire, Await, Call, FunctionInfo, ProgramIndex,
-    _call_has_bound, receiver_chain,
+    BLOCKING_ALWAYS, CONNECTIONISH, QUEUEISH, THREADISH, Access, Acquire,
+    Await, FunctionInfo, ProgramIndex, call_has_bound, callee_name,
+    receiver_chain,
 )
-from repro.analysis.flowgraph import _Resolver, _walk_scope
-from repro.analysis.lockgraph import expand_paths
+from repro.analysis.dataflow import (
+    Pass, Resolver, call_edges, reachability, walk_scope,
+)
 from repro.analysis.rules import Report
-
-#: Terminal call names that block the calling thread unconditionally.
-_BLOCKING_ALWAYS = frozenset({
-    "sleep", "urlopen", "getresponse", "accept", "recv", "recvfrom",
-    "sendall", "connect", "select",
-})
-#: Receivers that look like threads (``<thread>.join()`` stalls).
-_THREADISH = re.compile(r"thread|proc|worker|pool", re.IGNORECASE)
-#: Receivers that look like synchronous queues.
-_QUEUEISH = re.compile(r"queue", re.IGNORECASE)
-#: Receivers that look like database connections.
-_CONNECTIONISH = re.compile(r"conn|db\b|database", re.IGNORECASE)
 
 #: Loop APIs that must run on the loop's own thread.
 _LOOP_BOUND = frozenset({
@@ -109,45 +98,22 @@ def _is_asyncio_chain(chain: str) -> bool:
     return chain == "asyncio" or chain.startswith("asyncio.")
 
 
-class AsyncAnalysis:
-    """One run of the GSN9xx pass over an index."""
+class AsyncAnalysis(Pass):
+    """One run of the GSN9xx pass over an index.
+
+    Lattice: the coroutine roots whose loop context reaches each
+    function. Seeds: every ``async def`` and every callback handed to a
+    loop-bound scheduler.
+    """
 
     def __init__(self, index: ProgramIndex) -> None:
-        self.index = index
+        super().__init__(index)
         #: Coroutine/loop-callback roots: qualname -> kind.
         self.roots: Dict[str, str] = {}
         #: Functions that bootstrap a loop (run_until_complete et al.).
         self.bootstrap: Set[str] = set()
         #: qualname -> root qualnames whose coroutine context reaches it.
         self.reaching: Dict[str, Set[str]] = {}
-        self.suppressed_count = 0
-        self._resolvers: Dict[str, _Resolver] = {}
-        self._emitted: Set[Tuple[str, str, int]] = set()
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _resolver(self, qualname: str) -> _Resolver:
-        resolver = self._resolvers.get(qualname)
-        if resolver is None:
-            resolver = _Resolver(self.index, self.index.functions[qualname])
-            self._resolvers[qualname] = resolver
-        return resolver
-
-    def _suppressed(self, rule: str, path: str, line: int) -> bool:
-        rules = self.index.suppressions.get(path, {}).get(line)
-        return rules is not None and rule in rules
-
-    def _emit(self, report: Report, rule: str, message: str,
-              function: str, path: str, line: int) -> None:
-        key = (rule, path, line)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        if self._suppressed(rule, path, line):
-            self.suppressed_count += 1
-            return
-        report.add(rule, message, location=f"{function}:{line}",
-                   source=path)
 
     # -- root discovery and reachability -----------------------------------
 
@@ -156,7 +122,7 @@ class AsyncAnalysis:
             info = self.index.functions[qualname]
             if info.is_async:
                 self.roots.setdefault(qualname, "coroutine")
-            for node in _walk_scope(info.node):
+            for node in walk_scope(info.node):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
@@ -172,7 +138,7 @@ class AsyncAnalysis:
                         kw.value for kw in node.keywords
                         if kw.arg in ("callback", "func")
                     ]
-                    resolver = self._resolver(qualname)
+                    resolver = self.resolver(qualname)
                     for candidate in candidates:
                         for target in resolver.entry_targets(candidate):
                             self.roots.setdefault(target, "loop-callback")
@@ -185,29 +151,10 @@ class AsyncAnalysis:
     def solve(self) -> None:
         if not self.roots:
             self.discover()
-        edges: Dict[str, Set[str]] = {}
-        for qualname, info in self.index.functions.items():
-            targets: Set[str] = set()
-            for event in info.events:
-                if isinstance(event, Call):
-                    targets.update(t for t in event.targets
-                                   if t in self.index.functions)
-            edges[qualname] = targets
-        for root in sorted(self.roots):
-            if root not in self.index.functions:
-                continue
-            seen = self.reaching.setdefault(root, set())
-            if root in seen:
-                continue
-            seen.add(root)
-            queue = [root]
-            while queue:
-                current = queue.pop()
-                for callee in edges.get(current, ()):
-                    reached = self.reaching.setdefault(callee, set())
-                    if root not in reached:
-                        reached.add(root)
-                        queue.append(callee)
+        self.reaching = reachability(
+            call_edges(self.index),
+            ((root, root) for root in sorted(self.roots)
+             if root in self.index.functions))
 
     @property
     def loop_context(self) -> Set[str]:
@@ -220,31 +167,31 @@ class AsyncAnalysis:
                          node: ast.Call) -> Optional[str]:
         if _is_asyncio_chain(chain):
             return None
-        if name in _BLOCKING_ALWAYS:
+        if name in BLOCKING_ALWAYS:
             return f"{name}() blocks the calling thread"
         if name == "open" and not chain:
             return "synchronous file I/O"
-        if name == "join" and _THREADISH.search(chain):
+        if name == "join" and THREADISH.search(chain):
             return "join() on a thread (bounded or not, it stalls the loop)"
-        if name in ("get", "put") and _QUEUEISH.search(chain):
+        if name in ("get", "put") and QUEUEISH.search(chain):
             return (f"synchronous queue {name}() — even a timeout parks "
                     f"every task on the loop")
-        if name == "wait" and not _call_has_bound(node):
+        if name == "wait" and not call_has_bound(node):
             return "wait() without a timeout"
         if name == "acquire":
             return "synchronous lock acquire"
-        if name == "commit" and _CONNECTIONISH.search(chain):
+        if name == "commit" and CONNECTIONISH.search(chain):
             return "commit on a shared database connection"
         return None
 
     def _blocking_sites(self, info: FunctionInfo) -> List[BlockSite]:
         sites: List[BlockSite] = []
         awaited: Set[int] = set()
-        for node in _walk_scope(info.node):
+        for node in walk_scope(info.node):
             if isinstance(node, ast.Await) \
                     and isinstance(node.value, ast.Call):
                 awaited.add(id(node.value))
-        for node in _walk_scope(info.node):
+        for node in walk_scope(info.node):
             if not isinstance(node, ast.Call) or id(node) in awaited:
                 continue
             func = node.func
@@ -274,7 +221,7 @@ class AsyncAnalysis:
             root = sorted(roots)[0]
             via = "" if qualname == root else f" (via coroutine {root})"
             for site in self._blocking_sites(info):
-                self._emit(
+                self.emit(
                     report, "GSN901",
                     f"{qualname} runs on the event loop{via} but "
                     f"{site.desc} — {site.detail}; every task on the "
@@ -297,7 +244,7 @@ class AsyncAnalysis:
                 if not held:
                     continue
                 locks = ", ".join(held)
-                self._emit(
+                self.emit(
                     report, "GSN902",
                     f"{qualname} awaits while holding sync lock(s) "
                     f"{locks} — the coroutine parks with the lock held "
@@ -311,19 +258,16 @@ class AsyncAnalysis:
     def _judge_fire_and_forget(self, report: Report) -> None:
         for qualname in sorted(self.index.functions):
             info = self.index.functions[qualname]
-            resolver: Optional[_Resolver] = None
-            for node in _walk_scope(info.node):
+            resolver: Optional[Resolver] = None
+            for node in walk_scope(info.node):
                 if not isinstance(node, ast.Expr) \
                         or not isinstance(node.value, ast.Call):
                     continue
                 call = node.value
-                func = call.func
-                name = func.attr if isinstance(func, ast.Attribute) else (
-                    func.id if isinstance(func, ast.Name) else None
-                )
+                name = callee_name(call)
                 if name in ("create_task", "ensure_future",
                             "run_coroutine_threadsafe"):
-                    self._emit(
+                    self.emit(
                         report, "GSN903",
                         f"{qualname} fires and forgets a task "
                         f"({name}(...) result dropped) — its exception "
@@ -334,14 +278,14 @@ class AsyncAnalysis:
                     )
                     continue
                 if resolver is None:
-                    resolver = self._resolver(qualname)
+                    resolver = self.resolver(qualname)
                 targets = resolver.targets_of(call)
                 async_targets = [
                     t for t in targets
                     if self.index.functions[t].is_async
                 ]
                 if async_targets:
-                    self._emit(
+                    self.emit(
                         report, "GSN903",
                         f"{qualname} calls coroutine "
                         f"{async_targets[0]}() without awaiting it — "
@@ -352,17 +296,13 @@ class AsyncAnalysis:
 
     # -- GSN904: loop thread affinity --------------------------------------
 
-    def _loop_owned(self, cls: str, attr: str) -> bool:
-        return any(attr in info.loop_owned
-                   for info in self.index._mro(cls))
-
     def _judge_affinity(self, report: Report) -> None:
         allowed = self.loop_context | self.bootstrap
         for qualname in sorted(self.index.functions):
             if qualname in allowed:
                 continue
             info = self.index.functions[qualname]
-            for node in _walk_scope(info.node):
+            for node in walk_scope(info.node):
                 if not isinstance(node, ast.Call) \
                         or not isinstance(node.func, ast.Attribute):
                     continue
@@ -371,7 +311,7 @@ class AsyncAnalysis:
                 if name in _THREADSAFE:
                     continue
                 if name in _LOOP_BOUND and "loop" in chain.lower():
-                    self._emit(
+                    self.emit(
                         report, "GSN904",
                         f"{qualname} calls {chain}.{name}() from a "
                         f"foreign thread — loop APIs are bound to the "
@@ -386,8 +326,8 @@ class AsyncAnalysis:
                     continue
                 if in_init and info.class_name == event.cls:
                     continue
-                if self._loop_owned(event.cls, event.attr):
-                    self._emit(
+                if self.index.loop_owned(event.cls, event.attr):
+                    self.emit(
                         report, "GSN904",
                         f"{qualname} writes loop-owned state "
                         f"{event.cls}.{event.attr} from a foreign "
@@ -414,7 +354,7 @@ class AsyncAnalysis:
     def _judge_queues(self, report: Report) -> None:
         for qualname in sorted(self.index.functions):
             info = self.index.functions[qualname]
-            for node in _walk_scope(info.node):
+            for node in walk_scope(info.node):
                 if not isinstance(node, ast.Call) \
                         or not isinstance(node.func, ast.Attribute):
                     continue
@@ -424,7 +364,7 @@ class AsyncAnalysis:
                     continue
                 if self._queue_bounded(node):
                     continue
-                self._emit(
+                self.emit(
                     report, "GSN905",
                     f"{qualname} creates an unbounded asyncio.Queue() — "
                     f"without a maxsize there is no backpressure and no "
@@ -435,14 +375,9 @@ class AsyncAnalysis:
 
     # -- entry point -------------------------------------------------------
 
-    def run(self, report: Optional[Report] = None,
-            include_parse_errors: bool = False) -> Report:
+    def run(self, report: Optional[Report] = None) -> Report:
         if report is None:
             report = Report()
-        if include_parse_errors:
-            for path, error in self.index.parse_errors:
-                report.add("GSN100", f"cannot parse python source: {error}",
-                           location=path, source=path)
         self.solve()
         self._judge_blocking(report)
         self._judge_awaits(report)
@@ -452,19 +387,5 @@ class AsyncAnalysis:
         return report
 
 
-def analyze_async(paths: Sequence[str],
-                  report: Optional[Report] = None,
-                  index: Optional[ProgramIndex] = None,
-                  include_parse_errors: bool = True,
-                  ) -> Tuple[Report, AsyncAnalysis]:
-    """Run the full GSN9xx pass over ``paths`` (files or directories).
-
-    Pass a pre-built ``index`` to share parsing with the other
-    interprocedural passes (and set ``include_parse_errors=False`` when
-    one of them already reported parse failures).
-    """
-    if index is None:
-        index = ProgramIndex.build(expand_paths(paths))
-    analysis = AsyncAnalysis(index)
-    report = analysis.run(report, include_parse_errors=include_parse_errors)
-    return report, analysis
+#: Run the full GSN9xx pass over paths (files or directories).
+analyze_async = AsyncAnalysis.analyze

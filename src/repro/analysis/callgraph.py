@@ -24,7 +24,7 @@ locally held lock set), and *opaque* calls — calls whose target is not
 in the index, classified by heuristics as potentially blocking
 (``GSN502``) or as callback dispatch (``GSN503``).  The interprocedural
 propagation over these summaries lives in
-:mod:`repro.analysis.lockgraph`.
+:mod:`repro.analysis.dataflow`, shared by every pass.
 
 The index is deliberately flow-insensitive about types and syntactic
 about locks: it exists to catch the lock-ordering bug class cheaply at
@@ -37,7 +37,12 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.analysis.rules import Report
 
 LOCK_ORDER_COMMENT = re.compile(
     r"#\s*lock-order:\s*([A-Za-z_][\w.]*)\s*<\s*([A-Za-z_][\w.]*)"
@@ -59,17 +64,17 @@ OWNED_BY_COMMENT = re.compile(
 _LOCKISH_NAME = re.compile(r"(^|_)(lock|mutex)$")
 
 #: Terminal call names that block unconditionally.
-_BLOCKING_ALWAYS = frozenset({
+BLOCKING_ALWAYS = frozenset({
     "sleep", "urlopen", "getresponse", "accept", "recv", "recvfrom",
     "sendall", "connect", "select",
 })
 #: ``<receiver>.join()`` blocks when the receiver looks like a thread
 #: (string ``", ".join`` and ``os.path.join`` receivers do not match).
-_THREADISH = re.compile(r"thread|proc|worker|pool", re.IGNORECASE)
+THREADISH = re.compile(r"thread|proc|worker|pool", re.IGNORECASE)
 #: ``<queue>.get()`` / ``<queue>.put()`` block when unbounded.
-_QUEUEISH = re.compile(r"queue", re.IGNORECASE)
+QUEUEISH = re.compile(r"queue", re.IGNORECASE)
 #: ``<connection>.commit()`` is durable I/O on a shared handle.
-_CONNECTIONISH = re.compile(r"conn|db\b|database", re.IGNORECASE)
+CONNECTIONISH = re.compile(r"conn|db\b|database", re.IGNORECASE)
 #: Receivers/callees that look like user-supplied callbacks.
 _DISPATCHY = re.compile(
     r"listener|callback|hook|observer|subscriber|handler|channel|notify",
@@ -85,7 +90,7 @@ _CONTAINER_METHODS = frozenset({
 
 #: ``<attr>.name()`` calls that mutate the receiver in place — these are
 #: the collection writes the race pass (GSN8xx) cares about.
-_MUTATOR_METHODS = frozenset({
+MUTATOR_METHODS = frozenset({
     "append", "appendleft", "add", "extend", "extendleft", "insert",
     "remove", "discard", "clear", "update", "setdefault", "pop",
     "popleft", "popitem", "sort", "reverse", "rotate",
@@ -262,14 +267,22 @@ def receiver_chain(node: ast.AST) -> str:
     return ""
 
 
-def _call_has_bound(call: ast.Call) -> bool:
+def callee_name(call: ast.Call) -> Optional[str]:
+    """The name a call invokes: ``commit`` for ``self.db.commit()``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def call_has_bound(call: ast.Call) -> bool:
     """Whether a join/get/put/wait call carries a timeout-ish argument."""
     if call.args:
         return True
     return any(kw.arg in ("timeout", "block") for kw in call.keywords)
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
+def self_attr(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Attribute) and \
             isinstance(node.value, ast.Name) and node.value.id == "self":
         return node.attr
@@ -286,9 +299,7 @@ def _lock_factory(value: ast.AST) -> Optional[Tuple[Optional[str], bool]]:
     if not isinstance(value, ast.Call):
         return None
     func = value.func
-    callee = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None
-    )
+    callee = callee_name(value)
     if callee in ("Lock", "RLock"):
         # ``asyncio.Lock()`` is a coroutine-world primitive, not a
         # thread lock — registering it would pollute the lock graph
@@ -361,6 +372,9 @@ class ProgramIndex:
         # path -> line -> owner domain (``# owned-by: loop``).
         self.owned_comments: Dict[str, Dict[int, str]] = {}
         self.parse_errors: List[Tuple[str, str]] = []
+        # qualname -> dataflow.Resolver, built on first use and shared
+        # by every pass over this index.
+        self.resolvers: Dict[str, Any] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -389,6 +403,12 @@ class ProgramIndex:
         for path, module, tree, lines in parsed:
             index._scan_bodies(path)
         return index
+
+    def report_parse_errors(self, report: "Report") -> None:
+        """GSN100 for every source the index could not parse."""
+        for path, error in self.parse_errors:
+            report.add("GSN100", f"cannot parse python source: {error}",
+                       location=path, source=path)
 
     def _resolve_requires(self) -> None:
         # Resolved after lock inference so annotations naming a lock
@@ -522,7 +542,7 @@ class ProgramIndex:
                 declared = annotation_class(node.annotation)
             else:
                 continue
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None:
                 continue
             cls.assigned.add(attr)
@@ -559,7 +579,7 @@ class ProgramIndex:
             return None
         if isinstance(value, ast.Name):
             return info.params.get(value.id)
-        attr = _self_attr(value)
+        attr = self_attr(value)
         if attr is not None:
             return self.attr_type(cls.name, attr)
         return None
@@ -571,7 +591,7 @@ class ProgramIndex:
             qualname = self.module_functions.get((info.module, func.id))
             return self.functions.get(qualname) if qualname else None
         if isinstance(func, ast.Attribute):
-            attr = _self_attr(func)
+            attr = self_attr(func)
             if attr is not None and info.class_name is not None:
                 targets = self.resolve_method(info.class_name, func.attr)
                 if targets:
@@ -580,7 +600,7 @@ class ProgramIndex:
 
     # -- lookup ------------------------------------------------------------
 
-    def _mro(self, class_name: str) -> List[ClassInfo]:
+    def mro(self, class_name: str) -> List[ClassInfo]:
         """The known part of a class's MRO (C3 is overkill here)."""
         out: List[ClassInfo] = []
         seen: Set[str] = set()
@@ -595,8 +615,19 @@ class ProgramIndex:
             queue.extend(info.bases)
         return out
 
+    def method_of(self, info: FunctionInfo, base: str) -> bool:
+        """Whether ``info`` is a method of a class with a base whose name
+        contains ``base`` (``"Thread"``, ``"Handler"``)."""
+        cls = self.classes.get(info.class_name or "")
+        return cls is not None and any(base in name for name in cls.bases)
+
+    def loop_owned(self, class_name: str, attr: str) -> bool:
+        """Whether ``attr`` is declared ``# owned-by: loop`` on the class
+        or a base."""
+        return any(attr in info.loop_owned for info in self.mro(class_name))
+
     def attr_type(self, class_name: str, attr: str) -> Optional[str]:
-        for info in self._mro(class_name):
+        for info in self.mro(class_name):
             declared = info.attr_types.get(attr)
             if declared:
                 return declared
@@ -610,12 +641,12 @@ class ProgramIndex:
         injected through parameters keep their own class-qualified name
         — that aliasing is declared in ``LOCK_ORDER`` instead).
         """
-        for info in self._mro(class_name):
+        for info in self.mro(class_name):
             decl = info.locks.get(attr)
             if decl is not None:
                 return decl
         if _LOCKISH_NAME.search(attr):
-            for info in self._mro(class_name):
+            for info in self.mro(class_name):
                 if attr in info.assigned:
                     return LockDecl(f"{info.name}.{attr}", False,
                                     info.path, info.lineno)
@@ -629,7 +660,7 @@ class ProgramIndex:
         sound fan-out for calls through an abstract base.
         """
         targets: List[str] = []
-        for info in self._mro(class_name):
+        for info in self.mro(class_name):
             qualname = info.methods.get(method)
             if qualname is not None:
                 targets.append(qualname)
@@ -664,15 +695,80 @@ class ProgramIndex:
         return info.events if info is not None else []
 
 
-class _Scanner(ast.NodeVisitor):
+class Resolution:
+    """Static types and call targets inside one function.
+
+    The index's scanner resolves in statement order, as locals get
+    bound; :class:`repro.analysis.dataflow.Resolver` resolves over the
+    whole function at once, for the passes.
+    """
+
+    def __init__(self, index: ProgramIndex, info: FunctionInfo) -> None:
+        self.index = index
+        self.info = info
+        self.locals: Dict[str, str] = dict(info.params)
+
+    def nested_function(self, name: str) -> Optional[str]:
+        """The qualname of the nested def a bare ``name`` calls, if any."""
+        raise NotImplementedError
+
+    def targets_of(self, call: ast.Call) -> Sequence[str]:
+        return self.resolve(call)
+
+    def type_of(self, expr: ast.AST) -> Optional[str]:
+        if isinstance(expr, ast.Name):
+            if expr.id == "self":
+                return self.info.class_name
+            return self.locals.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            base = self.type_of(expr.value)
+            if base is not None:
+                return self.index.attr_type(base, expr.attr)
+            return None
+        if isinstance(expr, ast.Call):
+            func = expr.func
+            if isinstance(func, ast.Name) and func.id in self.index.classes:
+                return func.id
+            targets = self.targets_of(expr)
+            if targets:
+                returns = self.index.functions[targets[0]].returns
+                if returns in self.index.classes:
+                    return returns
+        return None
+
+    def resolve(self, call: ast.Call) -> List[str]:
+        func = call.func
+        if isinstance(func, ast.Name):
+            nested = self.nested_function(func.id)
+            if nested is not None:
+                return [nested]
+            if func.id in self.locals:
+                return []  # a callable local: opaque
+            if func.id in self.index.classes:
+                init = self.index.classes[func.id].methods.get("__init__")
+                return [init] if init else []
+            qualname = self.index.module_functions.get(
+                (self.info.module, func.id)
+            )
+            if qualname and qualname in self.index.functions:
+                return [qualname]
+            return []
+        if isinstance(func, ast.Attribute):
+            owner = self.type_of(func.value)
+            if owner is not None:
+                return [t for t in
+                        self.index.resolve_method(owner, func.attr)
+                        if t in self.index.functions]
+        return []
+
+
+class _Scanner(ast.NodeVisitor, Resolution):
     """Extracts one function's event summary, registering nested defs."""
 
     def __init__(self, index: ProgramIndex, info: FunctionInfo,
                  locals_seed: Optional[Dict[str, str]] = None) -> None:
-        self.index = index
-        self.info = info
+        Resolution.__init__(self, index, info)
         self.held: List[str] = []
-        self.locals: Dict[str, str] = dict(info.params)
         if locals_seed:
             self.locals.update(locals_seed)
         self.nested: Dict[str, str] = {}
@@ -694,26 +790,8 @@ class _Scanner(ast.NodeVisitor):
 
     # -- type/lock resolution ----------------------------------------------
 
-    def _type_of(self, expr: ast.AST) -> Optional[str]:
-        if isinstance(expr, ast.Name):
-            if expr.id == "self":
-                return self.info.class_name
-            return self.locals.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            base = self._type_of(expr.value)
-            if base is not None:
-                return self.index.attr_type(base, expr.attr)
-            return None
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Name) and func.id in self.index.classes:
-                return func.id
-            targets = self._call_targets(expr)
-            if targets:
-                returns = self.index.functions[targets[0]].returns
-                if returns in self.index.classes:
-                    return returns
-        return None
+    def nested_function(self, name: str) -> Optional[str]:
+        return self.nested.get(name)
 
     def _lock_of(self, expr: ast.AST) -> Optional[Tuple[str, bool]]:
         """Resolve a ``with`` context expression to a named lock."""
@@ -723,37 +801,13 @@ class _Scanner(ast.NodeVisitor):
                 return decl.name, decl.reentrant
             return None
         if isinstance(expr, ast.Attribute):
-            owner = self._type_of(expr.value)
+            owner = self.type_of(expr.value)
             if owner is not None:
                 decl = self.index.lock_for_attr(owner, expr.attr)
                 if decl is not None:
                     return decl.name, decl.reentrant
             return None
         return None
-
-    def _call_targets(self, call: ast.Call) -> List[str]:
-        func = call.func
-        if isinstance(func, ast.Name):
-            if func.id in self.nested:
-                return [self.nested[func.id]]
-            if func.id in self.locals:
-                return []  # a callable local: opaque
-            if func.id in self.index.classes:
-                init = self.index.classes[func.id].methods.get("__init__")
-                return [init] if init else []
-            qualname = self.index.module_functions.get(
-                (self.info.module, func.id)
-            )
-            if qualname and qualname in self.index.functions:
-                return [qualname]
-            return []
-        if isinstance(func, ast.Attribute):
-            owner = self._type_of(func.value)
-            if owner is not None:
-                return [t for t in
-                        self.index.resolve_method(owner, func.attr)
-                        if t in self.index.functions]
-        return []
 
     # -- attribute accesses (race pass input) ------------------------------
 
@@ -763,13 +817,13 @@ class _Scanner(ast.NodeVisitor):
         not data and resolve to ``None``."""
         if not isinstance(expr, ast.Attribute):
             return None
-        owner = self._type_of(expr.value)
+        owner = self.type_of(expr.value)
         if owner is None or owner not in self.index.classes:
             return None
         attr = expr.attr
         if self.index.lock_for_attr(owner, attr) is not None:
             return None
-        for cls in self.index._mro(owner):
+        for cls in self.index.mro(owner):
             if attr in cls.methods:
                 return None
         return owner, attr
@@ -826,20 +880,20 @@ class _Scanner(ast.NodeVisitor):
         if isinstance(func, ast.Attribute):
             ref = self._attr_ref(func.value)
             if ref is not None:
-                kind = MUTATE if func.attr in _MUTATOR_METHODS else READ
+                kind = MUTATE if func.attr in MUTATOR_METHODS else READ
                 if kind == MUTATE:
                     # ``self.sink.add(x)`` where ``add`` is a *method* of
                     # the receiver's indexed class is a call into code
                     # with its own discipline, not a raw collection
                     # mutation of the attribute.
-                    recv_type = self._type_of(func.value)
+                    recv_type = self.type_of(func.value)
                     if recv_type is not None and any(
                             func.attr in cls.methods
-                            for cls in self.index._mro(recv_type)):
+                            for cls in self.index.mro(recv_type)):
                         kind = READ
                 self._record(ref, kind, node.lineno)
                 self._consumed.add(id(func.value))
-        targets = self._call_targets(node)
+        targets = self.resolve(node)
         if targets:
             self.info.events.append(
                 Call(tuple(targets), tuple(self.held), node.lineno)
@@ -867,17 +921,17 @@ class _Scanner(ast.NodeVisitor):
 
     def _classify(self, name: str, chain: str,
                   node: ast.Call) -> Tuple[Optional[str], str]:
-        if name in _BLOCKING_ALWAYS:
+        if name in BLOCKING_ALWAYS:
             return BLOCKING, f"{name}() blocks unconditionally"
-        if name == "join" and _THREADISH.search(chain) \
-                and not _call_has_bound(node):
+        if name == "join" and THREADISH.search(chain) \
+                and not call_has_bound(node):
             return BLOCKING, "join() on a thread without a timeout"
-        if name in ("get", "put") and _QUEUEISH.search(chain) \
-                and not _call_has_bound(node):
+        if name in ("get", "put") and QUEUEISH.search(chain) \
+                and not call_has_bound(node):
             return BLOCKING, f"unbounded queue {name}()"
-        if name == "wait" and not _call_has_bound(node):
+        if name == "wait" and not call_has_bound(node):
             return BLOCKING, "wait() without a timeout"
-        if name == "commit" and _CONNECTIONISH.search(chain):
+        if name == "commit" and CONNECTIONISH.search(chain):
             return BLOCKING, "commit on a shared database connection"
         if name not in _CONTAINER_METHODS and (
                 _DISPATCHY.search(name) or _DISPATCHY.search(chain)):
@@ -892,7 +946,7 @@ class _Scanner(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            inferred = self._type_of(node.value)
+            inferred = self.type_of(node.value)
             if inferred is not None:
                 self.locals[node.targets[0].id] = inferred
         for target in node.targets:

@@ -37,8 +37,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis import locklint
 from repro.analysis.callgraph import ProgramIndex
+from repro.analysis.dataflow import expand_paths
 from repro.analysis.flowgraph import analyze_flow
-from repro.analysis.lockgraph import analyze_deadlocks, expand_paths
+from repro.analysis.lockgraph import analyze_deadlocks
 from repro.analysis.passes import (
     DEFAULT_MEMORY_BUDGET, analyze, attach_descriptor_lines,
 )
@@ -180,12 +181,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unsupported input(s): {other} "
                      f"(expected .xml descriptors, .py sources, or "
                      f"directories)")
-    deadlock_only = args.deadlock or args.graph
-    flow_only = args.flow
-    race_only = args.race
-    async_only = args.async_pass
-    if (deadlock_only or flow_only or race_only or async_only) \
-            and xml_paths:
+    # The python passes the flags select; none selected runs them all.
+    selected = {"deadlock": args.deadlock or args.graph,
+                "flow": args.flow, "race": args.race,
+                "async": args.async_pass}
+    restricted = any(selected.values())
+    if restricted and xml_paths:
         parser.error("--deadlock/--graph/--flow/--race/--async apply to "
                      "python inputs only")
     if args.self_check:
@@ -235,34 +236,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     python_inputs = expand_paths(py_paths + dirs)
     graph = None
     if python_inputs:
-        restricted = deadlock_only or flow_only or race_only or async_only
-        run_deadlock = deadlock_only or not restricted
-        run_flow = flow_only or not restricted
-        run_race = race_only or not restricted
-        run_async = async_only or not restricted
-        if not restricted:
-            locklint.lint_files(python_inputs, report)
+        run = {name: on or not restricted for name, on in selected.items()}
         index = ProgramIndex.build(python_inputs)
-        if run_deadlock:
+        index.report_parse_errors(report)
+        if not restricted:
+            unparsed = {path for path, __ in index.parse_errors}
+            locklint.lint_files(
+                [p for p in python_inputs if p not in unparsed], report)
+        if run["deadlock"]:
             __, graph = analyze_deadlocks(
                 python_inputs, report=report,
                 include_sanctioned=not args.no_sanctioned_order,
                 index=index,
             )
-        if run_flow:
-            analyze_flow(python_inputs, report=report, index=index,
-                         include_parse_errors=not run_deadlock)
-        if run_race:
+        if run["flow"]:
+            analyze_flow(python_inputs, report=report, index=index)
+        if run["race"]:
             from repro.analysis.racegraph import analyze_races
-            analyze_races(python_inputs, report=report, index=index,
-                          include_parse_errors=not (run_deadlock
-                                                    or run_flow))
-        if run_async:
+            analyze_races(python_inputs, report=report, index=index)
+        if run["async"]:
             from repro.analysis.asyncgraph import analyze_async
-            analyze_async(python_inputs, report=report, index=index,
-                          include_parse_errors=not (run_deadlock
-                                                    or run_flow
-                                                    or run_race))
+            analyze_async(python_inputs, report=report, index=index)
 
     failed = bool(report.errors) or (args.strict_warnings
                                      and bool(report.warnings))

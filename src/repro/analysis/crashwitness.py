@@ -2,7 +2,7 @@
 
 The static pass (:mod:`repro.analysis.flowgraph`) proves that no
 exception type *can* escape a thread entry point; this module checks
-the *process*. When enabled, a :func:`threading.excepthook` sentinel
+the *process*. While armed, a :func:`threading.excepthook` sentinel
 records every exception that escapes a thread — the exact failure mode
 GSN602 lints against: a worker that dies and leaves its virtual sensor
 deployed-but-dead.
@@ -23,10 +23,10 @@ prefix mapped to an owner — typically the virtual-sensor name) so
 records and the ``gsn_thread_crashes_total`` metric carry the owner
 label. Intentional crashes in tests are wrapped in
 :meth:`expected`; the conftest fixture fails the suite on any
-*unexpected* record (opt out with ``GSN_CRASH_WITNESS=0``).
+*unexpected* record.
 
-Off by default: until :func:`enable` is called this module costs
-nothing and ``threading.excepthook`` is untouched.
+Off by default: until a witness is armed (:mod:`repro.analysis.witness`)
+this module costs nothing and ``threading.excepthook`` is untouched.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.analysis.witness import Witness
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class ThreadCrash:
                 f"(owner {self.owner!r}): {self.exc_type}: {self.message}")
 
 
-class CrashWitness:
+class CrashWitness(Witness):
     """Records escaped thread exceptions, with owner attribution."""
 
     def __init__(self) -> None:
@@ -227,28 +229,8 @@ class CrashWitness:
         }
 
 
-#: The installed witness, when enabled.
+#: The top armed witness (kept by :mod:`repro.analysis.witness`).
 _active: Optional[CrashWitness] = None
-
-
-def enable() -> CrashWitness:
-    """Install a witness: escaped thread exceptions are recorded from
-    now on (idempotent — an already-active witness is returned)."""
-    global _active
-    if _active is not None:
-        return _active
-    witness = CrashWitness()
-    witness.install()
-    _active = witness
-    return witness
-
-
-def disable() -> None:
-    """Restore the previous ``threading.excepthook``."""
-    global _active
-    if _active is not None:
-        _active.uninstall()
-    _active = None
 
 
 def active() -> Optional[CrashWitness]:

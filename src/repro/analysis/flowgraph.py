@@ -15,8 +15,9 @@ manager cares about: *can this deployment die silently?*
    ``finally`` that exits via ``return``/``break``/``continue``
    swallows everything in flight;
 2. summaries are propagated through resolved calls to a fixed point
-   (the lattice is sets of type names: finite and monotone, so the
-   iteration terminates);
+   by :func:`repro.analysis.dataflow.solve_summaries` (the lattice is
+   sets of type names: finite and monotone, so the iteration
+   terminates);
 3. rules are judged against the stable summaries:
 
    - **GSN601** a broad handler (bare ``except``, ``Exception``,
@@ -49,11 +50,15 @@ import ast
 import re
 from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.analysis.callgraph import (
-    BLOCKING, FunctionInfo, Opaque, ProgramIndex, receiver_chain,
+    BLOCKING, FunctionInfo, Opaque, ProgramIndex, callee_name,
+    receiver_chain,
+)
+from repro.analysis.dataflow import (
+    SCOPE_NODES, Pass, reachability, solve_summaries, walk_scope,
 )
 from repro.analysis.rules import Report
 
@@ -146,31 +151,15 @@ _BOUNDED_BLOCKING = re.compile(r"sleep|commit", re.IGNORECASE)
 # small AST helpers
 # --------------------------------------------------------------------------
 
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                ast.ClassDef)
-
-
-def _walk_scope(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested defs/lambdas —
-    those are separate analysis roots with their own summaries."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, _SCOPE_NODES):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
 def _calls_in(node: ast.AST) -> List[ast.Call]:
-    out = [n for n in _walk_scope(node) if isinstance(n, ast.Call)]
+    out = [n for n in walk_scope(node) if isinstance(n, ast.Call)]
     if isinstance(node, ast.Call):
         out.append(node)
     return out
 
 
 def _names_in(node: ast.AST) -> Set[str]:
-    return {n.id for n in _walk_scope(node) if isinstance(n, ast.Name)} | (
+    return {n.id for n in walk_scope(node) if isinstance(n, ast.Name)} | (
         {node.id} if isinstance(node, ast.Name) else set()
     )
 
@@ -194,110 +183,6 @@ _TRY_NODES = _try_nodes()
 
 
 # --------------------------------------------------------------------------
-# call resolution (flow-insensitive mirror of the lock-pass scanner)
-# --------------------------------------------------------------------------
-
-class _Resolver:
-    """Resolves calls in one function to indexed callee qualnames."""
-
-    def __init__(self, index: ProgramIndex, info: FunctionInfo) -> None:
-        self.index = index
-        self.info = info
-        self.locals: Dict[str, str] = dict(info.params)
-        self._cache: Dict[int, Tuple[str, ...]] = {}
-        # Two rounds so one level of local aliasing resolves
-        # regardless of statement order (the index does the same for
-        # attributes).
-        for _ in range(2):
-            for node in _walk_scope(info.node):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                        and isinstance(node.targets[0], ast.Name):
-                    inferred = self.type_of(node.value)
-                    if inferred is not None:
-                        self.locals[node.targets[0].id] = inferred
-                elif isinstance(node, ast.AnnAssign) \
-                        and isinstance(node.target, ast.Name):
-                    from repro.analysis.callgraph import annotation_class
-                    declared = annotation_class(node.annotation)
-                    if declared:
-                        self.locals[node.target.id] = declared
-
-    def type_of(self, expr: ast.AST) -> Optional[str]:
-        if isinstance(expr, ast.Name):
-            if expr.id == "self":
-                return self.info.class_name
-            return self.locals.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            base = self.type_of(expr.value)
-            if base is not None:
-                return self.index.attr_type(base, expr.attr)
-            return None
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Name) and func.id in self.index.classes:
-                return func.id
-            targets = self.targets_of(expr)
-            if targets:
-                returns = self.index.functions[targets[0]].returns
-                if returns in self.index.classes:
-                    return returns
-        return None
-
-    def targets_of(self, call: ast.Call) -> Tuple[str, ...]:
-        cached = self._cache.get(id(call))
-        if cached is not None:
-            return cached
-        targets = tuple(self._resolve(call))
-        self._cache[id(call)] = targets
-        return targets
-
-    def _resolve(self, call: ast.Call) -> List[str]:
-        func = call.func
-        if isinstance(func, ast.Name):
-            nested = f"{self.info.qualname}.{func.id}"
-            if nested in self.index.functions:
-                return [nested]
-            if func.id in self.locals:
-                return []  # a callable local: opaque
-            if func.id in self.index.classes:
-                init = self.index.classes[func.id].methods.get("__init__")
-                return [init] if init else []
-            qualname = self.index.module_functions.get(
-                (self.info.module, func.id)
-            )
-            if qualname and qualname in self.index.functions:
-                return [qualname]
-            return []
-        if isinstance(func, ast.Attribute):
-            owner = self.type_of(func.value)
-            if owner is not None:
-                return [t for t in
-                        self.index.resolve_method(owner, func.attr)
-                        if t in self.index.functions]
-        return []
-
-    def entry_targets(self, expr: ast.AST) -> Tuple[str, ...]:
-        """Resolve a ``Thread(target=<expr>)`` expression to qualnames."""
-        if isinstance(expr, ast.Name):
-            nested = f"{self.info.qualname}.{expr.id}"
-            if nested in self.index.functions:
-                return (nested,)
-            qualname = self.index.module_functions.get(
-                (self.info.module, expr.id)
-            )
-            if qualname and qualname in self.index.functions:
-                return (qualname,)
-            return ()
-        if isinstance(expr, ast.Attribute):
-            owner = self.type_of(expr.value)
-            if owner is not None:
-                return tuple(t for t in
-                             self.index.resolve_method(owner, expr.attr)
-                             if t in self.index.functions)
-        return ()
-
-
-# --------------------------------------------------------------------------
 # exception-set evaluation
 # --------------------------------------------------------------------------
 
@@ -311,46 +196,24 @@ class _ExcEnv:
         self.handler_vars: Dict[str, Set[str]] = {}
 
 
-class FlowAnalysis:
-    """One run of the GSN6xx pass over an index."""
+class FlowAnalysis(Pass):
+    """One run of the GSN6xx pass over an index.
+
+    Lattice: the exception names each function can let escape. Seeds:
+    every function, with nothing escaping. Transfer: :meth:`_escapes`
+    over the body, reading the callees' summaries; calls are resolved
+    from the AST, so the pass supplies its own call edges.
+    """
 
     def __init__(self, index: ProgramIndex) -> None:
-        self.index = index
+        super().__init__(index)
         self.summaries: Dict[str, FrozenSet[str]] = {
             qualname: frozenset() for qualname in index.functions
         }
-        self._resolvers: Dict[str, _Resolver] = {}
         self._callers: Dict[str, Set[str]] = {}
         self._callees: Dict[str, Set[str]] = {}
         self.thread_sites: List[ThreadSite] = []
-        self.suppressed_count = 0
-        self._emitted: Set[Tuple[str, str, int]] = set()
         self._ancestor_cache: Dict[str, FrozenSet[str]] = {}
-
-    # -- plumbing ----------------------------------------------------------
-
-    def resolver(self, qualname: str) -> _Resolver:
-        resolver = self._resolvers.get(qualname)
-        if resolver is None:
-            resolver = _Resolver(self.index, self.index.functions[qualname])
-            self._resolvers[qualname] = resolver
-        return resolver
-
-    def _suppressed(self, rule: str, path: str, line: int) -> bool:
-        rules = self.index.suppressions.get(path, {}).get(line)
-        return rules is not None and rule in rules
-
-    def _emit(self, report: Report, rule: str, message: str,
-              function: str, path: str, line: int) -> None:
-        key = (rule, path, line)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        if self._suppressed(rule, path, line):
-            self.suppressed_count += 1
-            return
-        report.add(rule, message, location=f"{function}:{line}",
-                   source=path)
 
     # -- the exception hierarchy -------------------------------------------
 
@@ -397,7 +260,7 @@ class FlowAnalysis:
         return out
 
     def _stmt(self, stmt: ast.stmt, env: _ExcEnv) -> Set[str]:
-        if isinstance(stmt, _SCOPE_NODES):
+        if isinstance(stmt, SCOPE_NODES):
             return set()  # nested defs are their own analysis roots
         if isinstance(stmt, ast.Raise):
             return self._raise(stmt, env)
@@ -511,29 +374,13 @@ class FlowAnalysis:
     def solve(self) -> None:
         """Iterate summaries to the (monotone, finite) fixed point."""
         self._link_calls()
-        worklist = sorted(self.index.functions)
-        queued = set(worklist)
-        while worklist:
-            qualname = worklist.pop()
-            queued.discard(qualname)
-            new = self._escapes(qualname)
-            if new != self.summaries[qualname]:
-                self.summaries[qualname] = new
-                for caller in sorted(self._callers.get(qualname, ())):
-                    if caller not in queued:
-                        queued.add(caller)
-                        worklist.append(caller)
+        solve_summaries(self.summaries, self._escapes, self._callers)
 
     # -- rule judging ------------------------------------------------------
 
-    def run(self, report: Optional[Report] = None,
-            include_parse_errors: bool = False) -> Report:
+    def run(self, report: Optional[Report] = None) -> Report:
         if report is None:
             report = Report()
-        if include_parse_errors:
-            for path, error in self.index.parse_errors:
-                report.add("GSN100", f"cannot parse python source: {error}",
-                           location=path, source=path)
         self.solve()
         for qualname in sorted(self.index.functions):
             info = self.index.functions[qualname]
@@ -547,7 +394,7 @@ class FlowAnalysis:
     # GSN601 ---------------------------------------------------------------
 
     def _judge_handlers(self, report: Report, info: FunctionInfo) -> None:
-        for node in _walk_scope(info.node):
+        for node in walk_scope(info.node):
             if not isinstance(node, _TRY_NODES):
                 continue
             for handler in node.handlers:
@@ -557,7 +404,7 @@ class FlowAnalysis:
                 if self._handler_has_sink(handler):
                     continue
                 label = ", ".join(htypes)
-                self._emit(
+                self.emit(
                     report, "GSN601",
                     f"broad 'except {label}' swallows the error: "
                     f"re-raise it, or route it through a logger or "
@@ -568,7 +415,7 @@ class FlowAnalysis:
     def _handler_has_sink(self, handler: ast.excepthandler) -> bool:
         bound = handler.name
         for node in handler.body:
-            for child in [node] + list(_walk_scope(node)):
+            for child in [node] + list(walk_scope(node)):
                 if isinstance(child, ast.Raise):
                     return True
                 if isinstance(child, ast.Call):
@@ -604,7 +451,7 @@ class FlowAnalysis:
     def _judge_resources(self, report: Report, info: FunctionInfo) -> None:
         node = info.node
         acquisitions: List[Tuple[str, ast.Call, int]] = []
-        for child in _walk_scope(node):
+        for child in walk_scope(node):
             if isinstance(child, ast.Assign) and len(child.targets) == 1 \
                     and isinstance(child.targets[0], ast.Name) \
                     and isinstance(child.value, ast.Call):
@@ -619,7 +466,7 @@ class FlowAnalysis:
             if self._resource_is_managed(node, name, line):
                 continue
             desc = receiver_chain(call.func) or "acquisition"
-            self._emit(
+            self.emit(
                 report, "GSN603",
                 f"resource from {desc}() is not released on every path: "
                 f"use 'with', or close it in a 'finally'",
@@ -628,7 +475,7 @@ class FlowAnalysis:
 
     def _resource_is_managed(self, fn: ast.AST, name: str,
                              line: int) -> bool:
-        for child in _walk_scope(fn):
+        for child in walk_scope(fn):
             # ``with name:`` / ``with contextlib.closing(name):``
             if isinstance(child, (ast.With, ast.AsyncWith)):
                 for item in child.items:
@@ -668,14 +515,10 @@ class FlowAnalysis:
     def _collect_threads(self, info: FunctionInfo) -> None:
         resolver = self.resolver(info.qualname)
         node = info.node
-        for child in _walk_scope(node):
+        for child in walk_scope(node):
             if not isinstance(child, ast.Call):
                 continue
-            func = child.func
-            callee = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None
-            )
-            if callee != "Thread":
+            if callee_name(child) != "Thread":
                 continue
             targets: Tuple[str, ...] = ()
             daemon: Optional[bool] = None
@@ -692,16 +535,13 @@ class FlowAnalysis:
                 class_name=info.class_name,
             ))
         # ``class Worker(Thread): def run(self)`` — run() is an entry.
-        if info.name == "run" and info.class_name is not None:
-            cls = self.index.classes.get(info.class_name)
-            if cls is not None and any("Thread" in base
-                                       for base in cls.bases):
-                self.thread_sites.append(ThreadSite(
-                    entries=(info.qualname,), function=info.qualname,
-                    path=info.path, line=info.lineno, daemon=None,
-                    stored=None, class_name=info.class_name,
-                    subclass_run=True,
-                ))
+        if info.name == "run" and self.index.method_of(info, "Thread"):
+            self.thread_sites.append(ThreadSite(
+                entries=(info.qualname,), function=info.qualname,
+                path=info.path, line=info.lineno, daemon=None,
+                stored=None, class_name=info.class_name,
+                subclass_run=True,
+            ))
 
     def _judge_threads(self, report: Report) -> None:
         for site in self.thread_sites:
@@ -709,7 +549,7 @@ class FlowAnalysis:
                 escapes = sorted(self.summaries.get(entry, frozenset())
                                  - ALLOWED_THREAD_ESCAPES)
                 if escapes:
-                    self._emit(
+                    self.emit(
                         report, "GSN602",
                         f"thread entry point {entry}() can die on "
                         f"{', '.join(escapes)} — catch at the top of the "
@@ -720,7 +560,7 @@ class FlowAnalysis:
                 continue
             if not self._has_join_path(site):
                 target = site.stored or "<unnamed>"
-                self._emit(
+                self.emit(
                     report, "GSN605",
                     f"non-daemon thread ({target}) is started without a "
                     f"join()/stop path — it outlives its owner; pass "
@@ -754,33 +594,26 @@ class FlowAnalysis:
         return False
 
     def _judge_blocking(self, report: Report) -> None:
-        entries: Dict[str, str] = {}
-        for site in self.thread_sites:
-            for entry in site.entries:
-                entries.setdefault(entry, entry)
-        # BFS over resolved call edges: everything a worker thread can
-        # reach must stay interruptible.
-        reached: Dict[str, str] = dict(entries)
-        queue = sorted(entries)
-        while queue:
-            current = queue.pop()
-            for callee in sorted(self._callees.get(current, ())):
-                if callee not in reached:
-                    reached[callee] = reached[current]
-                    queue.append(callee)
+        # Everything a worker thread can reach must stay interruptible.
+        reached = reachability(self._callees, (
+            (entry, entry) for site in self.thread_sites
+            for entry in site.entries))
         for qualname in sorted(reached):
             info = self.index.functions.get(qualname)
             if info is None:
                 continue
+            # An entry names itself; otherwise the first entry by name.
+            entry = qualname if qualname in reached[qualname] \
+                else min(reached[qualname])
             for event in info.events:
                 if not isinstance(event, Opaque) or event.kind != BLOCKING:
                     continue
                 if _BOUNDED_BLOCKING.search(event.detail):
                     continue
-                self._emit(
+                self.emit(
                     report, "GSN604",
                     f"blocking {event.desc}() without a timeout is "
-                    f"reachable from thread entry {reached[qualname]}() "
+                    f"reachable from thread entry {entry}() "
                     f"({event.detail}) — a stuck call here makes the "
                     f"worker unsupervisable",
                     info.qualname, info.path, event.line,
@@ -804,7 +637,7 @@ class ThreadSite:
 def _assignment_target_for(fn: ast.AST,
                            call: ast.Call) -> Optional[str]:
     """``t = Thread(...)`` / ``self.t = Thread(...)`` target, if any."""
-    for child in _walk_scope(fn):
+    for child in walk_scope(fn):
         if isinstance(child, ast.Assign) and child.value is call \
                 and len(child.targets) == 1:
             return receiver_chain(child.targets[0]) or None
@@ -830,7 +663,7 @@ def _finally_swallows(stmts: Sequence[ast.stmt],
             return True
         if isinstance(stmt, (ast.Break, ast.Continue)) and not in_loop:
             return True
-        if isinstance(stmt, _SCOPE_NODES):
+        if isinstance(stmt, SCOPE_NODES):
             continue
         if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
             if _finally_swallows(stmt.body, True) \
@@ -857,20 +690,5 @@ def _finally_swallows(stmts: Sequence[ast.stmt],
 # entry point
 # --------------------------------------------------------------------------
 
-def analyze_flow(paths: Sequence[str],
-                 report: Optional[Report] = None,
-                 index: Optional[ProgramIndex] = None,
-                 include_parse_errors: bool = True,
-                 ) -> Tuple[Report, "FlowAnalysis"]:
-    """Run the full GSN6xx pass over ``paths`` (files or directories).
-
-    Pass a pre-built ``index`` to share parsing with the deadlock pass
-    (and set ``include_parse_errors=False`` if that pass already
-    reported them).
-    """
-    from repro.analysis.lockgraph import expand_paths
-    if index is None:
-        index = ProgramIndex.build(expand_paths(paths))
-    analysis = FlowAnalysis(index)
-    report = analysis.run(report, include_parse_errors=include_parse_errors)
-    return report, analysis
+#: Run the full GSN6xx pass over paths (files or directories).
+analyze_flow = FlowAnalysis.analyze

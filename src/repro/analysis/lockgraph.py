@@ -7,8 +7,8 @@ Runs over the event summaries produced by
    context (anything public can be called lock-free), plus whatever its
    ``# requires-lock:`` annotation promises;
 2. held-lock contexts are propagated through resolved calls to a fixed
-   point (bounded per function, so recursion and combinatorial caller
-   sets terminate);
+   point by :func:`repro.analysis.dataflow.propagate_contexts` (bounded
+   per function, so recursion and combinatorial caller sets terminate);
 3. each lock acquisition under a non-empty held set contributes edges to
    the global lock-acquisition-order graph; cycles — including cycles
    against the declared ``# lock-order: A < B`` edges and the sanctioned
@@ -27,20 +27,25 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import (
-    Acquire, Call, DeclaredEdge, Opaque, ProgramIndex, BLOCKING, DISPATCH,
+    Acquire, DeclaredEdge, FunctionInfo, Opaque, ProgramIndex, BLOCKING,
+    DISPATCH,
+)
+from repro.analysis.dataflow import (
+    MAX_CONTEXTS_PER_FUNCTION, Context, Pass, index_for, propagate_contexts,
 )
 from repro.analysis.rules import Report
 
-#: Bounds on the fixed point: distinct held-lock contexts tracked per
-#: function, and locks per context. Both are far above anything a sane
-#: codebase produces; they exist so pathological inputs terminate.
-MAX_CONTEXTS_PER_FUNCTION = 24
-MAX_LOCKS_PER_CONTEXT = 8
 
-Context = FrozenSet[str]
+def _bounded(known: Set[Context], new: Context) -> bool:
+    """The lock pass's join: keep at most ``MAX_CONTEXTS_PER_FUNCTION``
+    contexts per function, dropping later ones."""
+    if len(known) >= MAX_CONTEXTS_PER_FUNCTION:
+        return False
+    known.add(new)
+    return True
 
 
 @dataclass(frozen=True)
@@ -192,101 +197,57 @@ class LockGraph:
         return "\n".join(lines)
 
 
-class DeadlockAnalysis:
-    """One run of the GSN5xx pass over an index."""
+class DeadlockAnalysis(Pass):
+    """One run of the GSN5xx pass over an index.
+
+    Lattice: the held-lock contexts each function can be entered with,
+    bounded per function (contexts past the bound are dropped). Seeds:
+    every function, entered with no lock held. Transfer: lock
+    acquisitions and opaque calls are judged under each context.
+    """
 
     def __init__(self, index: ProgramIndex,
                  sanctioned: Sequence[Tuple[str, str]] = ()) -> None:
-        self.index = index
+        super().__init__(index)
         self.graph = LockGraph()
         self.graph.declared = list(index.declared_order)
         for before, after in sanctioned:
             self.graph.declared.append(
                 DeclaredEdge(before, after, "<concurrency.LOCK_ORDER>", 0)
             )
-        self.suppressed_count = 0
-        self._emitted: Set[Tuple[str, str, int]] = set()
-
-    # -- suppression -------------------------------------------------------
-
-    def _suppressed(self, rule: str, path: str, line: int) -> bool:
-        rules = self.index.suppressions.get(path, {}).get(line)
-        return rules is not None and rule in rules
-
-    def _emit(self, report: Report, rule: str, message: str,
-              function: str, path: str, line: int) -> None:
-        key = (rule, path, line)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        if self._suppressed(rule, path, line):
-            self.suppressed_count += 1
-            return
-        report.add(rule, message, location=f"{function}:{line}",
-                   source=path)
-
-    # -- propagation -------------------------------------------------------
+        self.contexts: Dict[str, Set[Context]] = {}
 
     def run(self, report: Optional[Report] = None) -> Report:
         if report is None:
             report = Report()
-        for path, error in self.index.parse_errors:
-            report.add("GSN100", f"cannot parse python source: {error}",
-                       location=path, source=path)
 
-        contexts: Dict[str, Set[Context]] = {
-            qualname: {frozenset()}
-            for qualname in self.index.functions
-        }
-        processed: Set[Tuple[str, Context]] = set()
-        worklist: List[str] = sorted(self.index.functions)
+        def visit(info: FunctionInfo, base: Context, event: object) -> None:
+            if isinstance(event, Acquire):
+                self._acquire(report, info, base, event)
+            elif isinstance(event, Opaque):
+                self._opaque(report, info, base, event)
 
-        while worklist:
-            qualname = worklist.pop()
-            info = self.index.functions[qualname]
-            base_requires = frozenset(info.requires)
-            for ctx in list(contexts[qualname]):
-                if (qualname, ctx) in processed:
-                    continue
-                processed.add((qualname, ctx))
-                base = ctx | base_requires
-                for event in info.events:
-                    if isinstance(event, Acquire):
-                        self._acquire(report, info, base, event)
-                    elif isinstance(event, Opaque):
-                        self._opaque(report, info, base, event)
-                    elif isinstance(event, Call):
-                        callee_ctx = frozenset(base | set(event.held))
-                        if len(callee_ctx) > MAX_LOCKS_PER_CONTEXT:
-                            continue
-                        for target in event.targets:
-                            known = contexts.get(target)
-                            if known is None:
-                                continue
-                            if callee_ctx in known:
-                                continue
-                            if len(known) >= MAX_CONTEXTS_PER_FUNCTION:
-                                continue
-                            known.add(callee_ctx)
-                            worklist.append(target)
-
+        self.contexts = {qualname: {frozenset()}
+                         for qualname in self.index.functions}
+        propagate_contexts(self.index, self.contexts,
+                           sorted(self.index.functions), _bounded, visit)
         self._cycles(report)
         return report
 
     # -- per-event rules ---------------------------------------------------
 
-    def _acquire(self, report: Report, info, base: Context,
+    def _acquire(self, report: Report, info: FunctionInfo, base: Context,
                  event: Acquire) -> None:
         held = base | set(event.held)
         if event.lock in held and not event.reentrant:
-            self._emit(
+            self.emit(
                 report, "GSN504",
                 f"re-acquisition of non-reentrant lock {event.lock} "
                 f"(already held on this path)",
                 info.qualname, info.path, event.line,
             )
             return
-        if self._suppressed("GSN501", info.path, event.line):
+        if self.suppressed("GSN501", info.path, event.line):
             # The annotation vouches for this acquisition's ordering:
             # keep it out of the cycle search entirely.
             self.suppressed_count += 1
@@ -296,21 +257,21 @@ class DeadlockAnalysis:
             if held_lock != event.lock:
                 self.graph.add(held_lock, event.lock, site)
 
-    def _opaque(self, report: Report, info, base: Context,
+    def _opaque(self, report: Report, info: FunctionInfo, base: Context,
                 event: Opaque) -> None:
         held = base | set(event.held)
         if not held or event.kind is None:
             return
         locks = ", ".join(sorted(held))
         if event.kind == BLOCKING:
-            self._emit(
+            self.emit(
                 report, "GSN502",
                 f"blocking operation {event.desc}() while holding "
                 f"{locks} ({event.detail})",
                 info.qualname, info.path, event.line,
             )
         elif event.kind == DISPATCH:
-            self._emit(
+            self.emit(
                 report, "GSN503",
                 f"callback dispatch {event.desc}() while holding {locks} "
                 f"— snapshot under the lock, dispatch outside it",
@@ -352,24 +313,6 @@ def _sanctioned_order() -> Sequence[Tuple[str, str]]:
     return LOCK_ORDER
 
 
-def expand_paths(paths: Sequence[str]) -> List[str]:
-    """``.py`` files named directly plus all found under directories."""
-    out: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, dirs, files in os.walk(path):
-                dirs[:] = sorted(
-                    d for d in dirs
-                    if d not in ("__pycache__", ".git")
-                )
-                for name in sorted(files):
-                    if name.endswith(".py"):
-                        out.append(os.path.join(root, name))
-        else:
-            out.append(path)
-    return out
-
-
 def analyze_deadlocks(paths: Sequence[str],
                       report: Optional[Report] = None,
                       include_sanctioned: bool = True,
@@ -381,12 +324,11 @@ def analyze_deadlocks(paths: Sequence[str],
     ``include_sanctioned`` merges :data:`repro.concurrency.LOCK_ORDER`
     into the declared edges — the repo's own sources are checked against
     the sanctioned order, arbitrary inputs can opt out. Pass a pre-built
-    ``index`` to share parsing with the flow pass.
+    ``index`` to share parsing with the other passes.
     """
-    if index is None:
-        files = expand_paths(paths)
-        index = ProgramIndex.build(files)
+    report = Report() if report is None else report
     sanctioned = _sanctioned_order() if include_sanctioned else ()
-    analysis = DeadlockAnalysis(index, sanctioned=sanctioned)
-    report = analysis.run(report)
+    analysis = DeadlockAnalysis(index_for(paths, report, index),
+                                sanctioned=sanctioned)
+    analysis.run(report)
     return report, analysis.graph

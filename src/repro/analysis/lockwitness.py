@@ -1,7 +1,7 @@
 """Runtime lock-order witness.
 
 The static pass (:mod:`repro.analysis.lockgraph`) proves properties of
-the *source*; this module checks the *process*. When enabled, every lock
+the *source*; this module checks the *process*. While armed, every lock
 the runtime creates through :func:`repro.concurrency.new_lock` becomes a
 :class:`WitnessedLock` that records which locks each thread already
 holds at every acquisition.  Each (held → acquired) pair becomes an edge
@@ -23,16 +23,18 @@ carry the same name; holding both at once is not ordered by the naming
 scheme and is therefore not recorded as an edge (it would read as a
 self-cycle).  Re-acquiring the *same instance* is still caught.
 
-Off by default: until :func:`enable` is called, ``new_lock`` hands out
-plain ``threading.Lock`` objects and this module costs nothing.
+Off by default: until the witness is armed
+(:mod:`repro.analysis.witness`), ``new_lock`` hands out plain
+``threading.Lock`` objects and this module costs nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import concurrency
+from repro.analysis.witness import LockFactory, Witness, plain_lock
 
 Edge = Tuple[str, str]
 
@@ -47,10 +49,10 @@ class WitnessedLock:
     __slots__ = ("name", "reentrant", "_lock", "_witness")
 
     def __init__(self, name: str, reentrant: bool,
-                 witness: "LockWitness") -> None:
+                 witness: "LockWitness", lock: Any) -> None:
         self.name = name
         self.reentrant = reentrant
-        self._lock = threading.RLock() if reentrant else threading.Lock()
+        self._lock = lock
         self._witness = witness
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
@@ -77,7 +79,7 @@ class WitnessedLock:
         return f"<WitnessedLock {self.name!r}>"
 
 
-class LockWitness:
+class LockWitness(Witness):
     """Records acquisition order per thread and checks it for cycles."""
 
     def __init__(self, strict: bool = True,
@@ -101,8 +103,14 @@ class LockWitness:
             self._held.stack = stack
         return stack
 
-    def make_lock(self, name: str, reentrant: bool) -> WitnessedLock:
-        return WitnessedLock(name, reentrant, self)
+    def make_lock(self, name: str, reentrant: bool,
+                  inner: LockFactory = plain_lock) -> WitnessedLock:
+        """A witnessed lock around the one ``inner`` makes."""
+        return WitnessedLock(name, reentrant, self, inner(name, reentrant))
+
+    def lock_factory(self, inner: LockFactory) -> LockFactory:
+        return lambda name, reentrant=False: self.make_lock(
+            name, reentrant, inner)
 
     # -- acquisition hooks ---------------------------------------------------
 
@@ -188,25 +196,8 @@ class LockWitness:
         }
 
 
-#: The installed witness, when enabled.
+#: The top armed witness (kept by :mod:`repro.analysis.witness`).
 _active: Optional[LockWitness] = None
-
-
-def enable(strict: bool = True,
-           declared: Optional[Tuple[Edge, ...]] = None) -> LockWitness:
-    """Install a witness: locks created from now on are instrumented."""
-    global _active
-    witness = LockWitness(strict=strict, declared=declared)
-    _active = witness
-    concurrency.install_witness(witness.make_lock)
-    return witness
-
-
-def disable() -> None:
-    """Return :func:`repro.concurrency.new_lock` to plain stdlib locks."""
-    global _active
-    _active = None
-    concurrency.install_witness(None)
 
 
 def active() -> Optional[LockWitness]:

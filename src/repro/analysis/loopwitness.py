@@ -2,7 +2,7 @@
 
 The static pass (:mod:`repro.analysis.asyncgraph`) proves no blocking
 call is *reachable* from a coroutine; this module checks the *process*:
-when enabled, every event loop the runtime starts (the async ingestion
+while armed, every event loop the runtime starts (the async ingestion
 gateway arms it automatically) runs a heartbeat task that measures how
 late the loop wakes it up.  A healthy loop re-schedules the heartbeat
 within a scheduling jitter of its interval; a loop stalled by a
@@ -17,10 +17,9 @@ violation of our own rule.  ``violations.append`` and the counters rely
 on GIL atomicity; the report is read from the main thread after the
 loops have stopped.
 
-Off by default: until :func:`enable` is called, :func:`active` returns
-``None`` and loop owners skip the heartbeat entirely — zero cost.
-Knobs (read by the conftest fixture): ``GSN_LOOP_WITNESS=0`` opts out,
-``GSN_LOOP_WITNESS_MS`` overrides the stall ceiling.
+Off by default: until a witness is armed (:mod:`repro.analysis.witness`),
+:func:`active` returns ``None`` and loop owners skip the heartbeat
+entirely — zero cost.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 from typing import List, Optional
+
+from repro.analysis.witness import Witness
 
 #: Default stall ceiling, generous enough for CI scheduling noise but
 #: far below any real blocking call (sleep, socket accept, DB commit).
@@ -50,7 +51,7 @@ class LoopLagViolation:
                 f"a synchronous call is blocking the loop")
 
 
-class LoopWitness:
+class LoopWitness(Witness):
     """Measures event-loop scheduling lag via a heartbeat coroutine."""
 
     def __init__(self, max_stall_ms: float = DEFAULT_MAX_STALL_MS,
@@ -99,23 +100,8 @@ class LoopWitness:
         }
 
 
-#: The installed witness, when enabled.
+#: The top armed witness (kept by :mod:`repro.analysis.witness`).
 _active: Optional[LoopWitness] = None
-
-
-def enable(max_stall_ms: float = DEFAULT_MAX_STALL_MS,
-           interval_ms: float = DEFAULT_INTERVAL_MS) -> LoopWitness:
-    """Install a witness: loops started from now on arm heartbeats."""
-    global _active
-    witness = LoopWitness(max_stall_ms=max_stall_ms,
-                          interval_ms=interval_ms)
-    _active = witness
-    return witness
-
-
-def disable() -> None:
-    global _active
-    _active = None
 
 
 def active() -> Optional[LoopWitness]:

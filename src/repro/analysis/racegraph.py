@@ -18,9 +18,10 @@ undeclared shared attributes get their guard inferred.
    the synthetic ``main`` entry (anything public can be called from the
    embedding application's thread);
 2. held-lock contexts are propagated from the entry points through
-   resolved calls to a fixed point (same bounded worklist the deadlock
-   pass uses, but seeded *only* at entries so the per-access **must**-
-   held set is the intersection over genuinely possible contexts);
+   resolved calls to a fixed point (the deadlock pass's worklist,
+   :func:`repro.analysis.dataflow.propagate_contexts`, but seeded
+   *only* at entries so the per-access **must**-held set is the
+   intersection over genuinely possible contexts);
 3. per-attribute access summaries — read / write / read-modify-write /
    in-place collection mutation / iteration, each with its must-held
    lock set — are collected for every ``self.x`` (and typed shared-
@@ -69,12 +70,12 @@ from typing import (
 )
 
 from repro.analysis.callgraph import (
-    Access, Call, FunctionInfo, ITERATE, MUTATE, ProgramIndex, READ, RMW,
-    WRITE, _MUTATOR_METHODS, _self_attr,
+    MUTATOR_METHODS, Access, FunctionInfo, MUTATE, ProgramIndex,
+    RMW, WRITE, callee_name, self_attr,
 )
-from repro.analysis.flowgraph import _Resolver, _walk_scope
-from repro.analysis.lockgraph import (
-    MAX_CONTEXTS_PER_FUNCTION, MAX_LOCKS_PER_CONTEXT, expand_paths,
+from repro.analysis.dataflow import (
+    MAX_CONTEXTS_PER_FUNCTION, Context, Pass, call_edges,
+    propagate_contexts, reachability, walk_scope,
 )
 from repro.analysis.rules import Report
 
@@ -103,7 +104,18 @@ _COLLECTION_CTORS = frozenset({
 
 WRITEISH = frozenset({WRITE, RMW, MUTATE})
 
-Context = FrozenSet[str]
+
+def _must_held(known: Set[Context], new: Context) -> bool:
+    """The race pass's join: past ``MAX_CONTEXTS_PER_FUNCTION``
+    contexts, collapse to the must-held intersection (sound for guard
+    inference, and bounded)."""
+    if len(known) >= MAX_CONTEXTS_PER_FUNCTION:
+        collapsed = frozenset.intersection(new, *known)
+        known.clear()
+        known.add(collapsed)
+    else:
+        known.add(new)
+    return True
 
 
 @dataclass(frozen=True)
@@ -175,45 +187,22 @@ class AttrSummary:
             site.kind == MUTATE for site in self.writes)
 
 
-class RaceAnalysis:
-    """One run of the GSN8xx pass over an index."""
+class RaceAnalysis(Pass):
+    """One run of the GSN8xx pass over an index.
+
+    Lattice: held-lock contexts per function, collapsed past the bound
+    to their must-held intersection. Seeds: the concurrency entry
+    points, entered with no lock held. Facts: the entry ids reaching
+    each function.
+    """
 
     def __init__(self, index: ProgramIndex) -> None:
-        self.index = index
+        super().__init__(index)
         self.entries: List[EntryPoint] = []
         self.contexts: Dict[str, Set[Context]] = {}
         self.reaching: Dict[str, Set[str]] = {}
         self.summaries: Dict[Tuple[str, str], AttrSummary] = {}
-        self.suppressed_count = 0
-        self._resolvers: Dict[str, _Resolver] = {}
-        self._edges: Dict[str, Set[str]] = {}
         self._compound: Dict[Tuple[str, str, str, int], str] = {}
-        self._emitted: Set[Tuple[str, str, int]] = set()
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _resolver(self, qualname: str) -> _Resolver:
-        resolver = self._resolvers.get(qualname)
-        if resolver is None:
-            resolver = _Resolver(self.index, self.index.functions[qualname])
-            self._resolvers[qualname] = resolver
-        return resolver
-
-    def _suppressed(self, rule: str, path: str, line: int) -> bool:
-        rules = self.index.suppressions.get(path, {}).get(line)
-        return rules is not None and rule in rules
-
-    def _emit(self, report: Report, rule: str, message: str,
-              function: str, path: str, line: int) -> None:
-        key = (rule, path, line)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        if self._suppressed(rule, path, line):
-            self.suppressed_count += 1
-            return
-        report.add(rule, message, location=f"{function}:{line}",
-                   source=path)
 
     # -- entry-point discovery ---------------------------------------------
 
@@ -238,17 +227,12 @@ class RaceAnalysis:
                     and info.name.endswith("__")):
                 add(MAIN_ENTRY, qualname, info.path, info.lineno)
             # ``class Worker(Thread): def run(self)``.
-            if info.name == "run" and info.class_name is not None:
-                cls = self.index.classes.get(info.class_name)
-                if cls is not None and any("Thread" in base
-                                           for base in cls.bases):
-                    add("thread", qualname, info.path, info.lineno)
+            if info.name == "run" and self.index.method_of(info, "Thread"):
+                add("thread", qualname, info.path, info.lineno)
             # HTTP handler methods on (top-level) handler classes.
-            if info.name.startswith("do_") and info.class_name is not None:
-                cls = self.index.classes.get(info.class_name)
-                if cls is not None and any("Handler" in base
-                                           for base in cls.bases):
-                    add("http", qualname, info.path, info.lineno)
+            if info.name.startswith("do_") \
+                    and self.index.method_of(info, "Handler"):
+                add("http", qualname, info.path, info.lineno)
             self._scan_spawn_sites(info, add)
 
         # ``main`` is one entry id no matter how many roots seed it.
@@ -257,14 +241,11 @@ class RaceAnalysis:
         return entries
 
     def _scan_spawn_sites(self, info: FunctionInfo, add) -> None:
-        resolver = self._resolver(info.qualname)
-        for child in _walk_scope(info.node):
+        resolver = self.resolver(info.qualname)
+        for child in walk_scope(info.node):
             if not isinstance(child, ast.Call):
                 continue
-            func = child.func
-            callee = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None
-            )
+            callee = callee_name(child)
             if callee is None:
                 continue
             kind: Optional[str] = None
@@ -299,33 +280,13 @@ class RaceAnalysis:
     def solve(self) -> None:
         if not self.entries:
             self.discover_entries()
-        # Static call edges, once.
-        for qualname, info in self.index.functions.items():
-            targets: Set[str] = set()
-            for event in info.events:
-                if isinstance(event, Call):
-                    targets.update(t for t in event.targets
-                                   if t in self.index.functions)
-            self._edges[qualname] = targets
+        edges = call_edges(self.index)
+        entries = [entry for entry in self.entries
+                   if entry.qualname in self.index.functions]
+        self.reaching = reachability(
+            edges, ((entry.qualname, entry.id) for entry in entries))
 
-        # 1. which entry ids reach which functions (BFS, ctx-free).
-        for entry in self.entries:
-            if entry.qualname not in self.index.functions:
-                continue
-            seen = self.reaching.setdefault(entry.qualname, set())
-            if entry.id in seen:
-                continue
-            seen.add(entry.id)
-            queue = [entry.qualname]
-            while queue:
-                current = queue.pop()
-                for callee in self._edges.get(current, ()):
-                    reached = self.reaching.setdefault(callee, set())
-                    if entry.id not in reached:
-                        reached.add(entry.id)
-                        queue.append(callee)
-
-        # 2. held-lock contexts from the entries to a fixed point.
+        # Held-lock contexts from the entries to a fixed point.
         #
         # Concurrent entries always seed an empty context (they start a
         # fresh stack). ``main`` roots seed only when nothing in the
@@ -334,7 +295,7 @@ class RaceAnalysis:
         # callers' contexts — we assume external callers follow the
         # same locking discipline the internal call sites exhibit.
         called: Set[str] = set()
-        for targets in self._edges.values():
+        for targets in edges.values():
             called.update(targets)
         worklist: List[str] = []
 
@@ -344,56 +305,19 @@ class RaceAnalysis:
                 known.add(frozenset())
                 worklist.append(qualname)
 
-        for entry in self.entries:
-            if entry.qualname not in self.index.functions:
-                continue
+        for entry in entries:
             if entry.kind == MAIN_ENTRY and entry.qualname in called:
                 continue
             seed(entry.qualname)
-        self._fixpoint(worklist)
+        propagate_contexts(self.index, self.contexts, worklist, _must_held)
         # Public-cycle fallback: a ring of public functions that only
         # call each other has no root; seed the stragglers empty.
-        stragglers = [entry.qualname for entry in self.entries
-                      if entry.qualname in self.index.functions
-                      and entry.qualname not in self.contexts]
-        for qualname in stragglers:
-            seed(qualname)
+        for entry in entries:
+            if entry.qualname not in self.contexts:
+                seed(entry.qualname)
         if worklist:
-            self._fixpoint(worklist)
-
-    def _fixpoint(self, worklist: List[str]) -> None:
-        processed: Set[Tuple[str, Context]] = set()
-        while worklist:
-            qualname = worklist.pop()
-            info = self.index.functions[qualname]
-            base_requires = frozenset(info.requires)
-            for ctx in list(self.contexts.get(qualname, ())):
-                if (qualname, ctx) in processed:
-                    continue
-                processed.add((qualname, ctx))
-                base = ctx | base_requires
-                for event in info.events:
-                    if not isinstance(event, Call):
-                        continue
-                    callee_ctx = frozenset(base | set(event.held))
-                    if len(callee_ctx) > MAX_LOCKS_PER_CONTEXT:
-                        continue
-                    for target in event.targets:
-                        if target not in self.index.functions:
-                            continue
-                        known = self.contexts.setdefault(target, set())
-                        if callee_ctx in known:
-                            continue
-                        if len(known) >= MAX_CONTEXTS_PER_FUNCTION:
-                            # Collapse to the must-held intersection:
-                            # sound for guard inference, and bounded.
-                            collapsed = frozenset.intersection(
-                                callee_ctx, *known)
-                            known.clear()
-                            known.add(collapsed)
-                        else:
-                            known.add(callee_ctx)
-                        worklist.append(target)
+            propagate_contexts(self.index, self.contexts, worklist,
+                               _must_held)
 
     # -- access summaries --------------------------------------------------
 
@@ -445,7 +369,7 @@ class RaceAnalysis:
                 info = self.index.functions.get(qualname)
                 if info is None:
                     continue
-                for node in _walk_scope(info.node):
+                for node in walk_scope(info.node):
                     target: Optional[ast.AST] = None
                     value: Optional[ast.AST] = None
                     if isinstance(node, ast.Assign) \
@@ -455,7 +379,7 @@ class RaceAnalysis:
                         target, value = node.target, node.value
                     else:
                         continue
-                    attr = _self_attr(target)
+                    attr = self_attr(target)
                     if attr is None or value is None:
                         continue
                     if self._is_collection_value(value):
@@ -468,16 +392,12 @@ class RaceAnalysis:
                               ast.DictComp, ast.SetComp)):
             return True
         if isinstance(value, ast.Call):
-            func = value.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None
-            )
-            return name in _COLLECTION_CTORS
+            return callee_name(value) in _COLLECTION_CTORS
         return False
 
     def _declaration(self, cls: str,
                      attr: str) -> Tuple[Optional[str], int, Optional[str]]:
-        for info in self.index._mro(cls):
+        for info in self.index.mro(cls):
             entry = info.guards.get(attr)
             if entry is not None:
                 declared, line = entry
@@ -512,7 +432,7 @@ class RaceAnalysis:
             info = self.index.functions[qualname]
             if info.class_name is None:
                 continue
-            for node in _walk_scope(info.node):
+            for node in walk_scope(info.node):
                 if isinstance(node, ast.If):
                     self._mark_check_then_act(info, node)
                 elif isinstance(node, (ast.For, ast.While)):
@@ -521,7 +441,7 @@ class RaceAnalysis:
     def _self_reads(self, node: ast.AST) -> Set[str]:
         out: Set[str] = set()
         for child in ast.walk(node):
-            attr = _self_attr(child)
+            attr = self_attr(child)
             if attr is not None and isinstance(child.ctx, ast.Load):
                 out.add(attr)
         return out
@@ -530,25 +450,25 @@ class RaceAnalysis:
                      ) -> List[Tuple[str, int]]:
         out: List[Tuple[str, int]] = []
         for stmt in stmts:
-            for child in [stmt] + list(_walk_scope(stmt)):
+            for child in [stmt] + list(walk_scope(stmt)):
                 if isinstance(child, ast.Assign):
                     for target in child.targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is not None:
                             out.append((attr, child.lineno))
                 elif isinstance(child, ast.AugAssign):
-                    attr = _self_attr(child.target)
+                    attr = self_attr(child.target)
                     if attr is not None:
                         out.append((attr, child.lineno))
                 elif isinstance(child, ast.Call) \
                         and isinstance(child.func, ast.Attribute) \
-                        and child.func.attr in _MUTATOR_METHODS:
-                    attr = _self_attr(child.func.value)
+                        and child.func.attr in MUTATOR_METHODS:
+                    attr = self_attr(child.func.value)
                     if attr is not None:
                         out.append((attr, child.lineno))
                 elif isinstance(child, ast.Subscript) \
                         and isinstance(child.ctx, (ast.Store, ast.Del)):
-                    attr = _self_attr(child.value)
+                    attr = self_attr(child.value)
                     if attr is not None:
                         out.append((attr, child.lineno))
         return out
@@ -566,7 +486,7 @@ class RaceAnalysis:
 
     def _mark_iter_mutation(self, info: FunctionInfo, node: ast.AST) -> None:
         if isinstance(node, ast.For):
-            iterated = _self_attr(node.iter)
+            iterated = self_attr(node.iter)
         else:
             assert isinstance(node, ast.While)
             test_reads = self._self_reads(node.test)
@@ -582,18 +502,13 @@ class RaceAnalysis:
 
     # -- rule judging ------------------------------------------------------
 
-    def run(self, report: Optional[Report] = None,
-            include_parse_errors: bool = False) -> Report:
+    def run(self, report: Optional[Report] = None) -> Report:
         if report is None:
             report = Report()
-        if include_parse_errors:
-            for path, error in self.index.parse_errors:
-                report.add("GSN100", f"cannot parse python source: {error}",
-                           location=path, source=path)
         self.collect()
         for key in sorted(self.summaries):
             summary = self.summaries[key]
-            if self._loop_owned(summary.cls, summary.attr):
+            if self.index.loop_owned(summary.cls, summary.attr):
                 # ``# owned-by: loop`` state belongs to the async pass:
                 # GSN904 proves single-writer (loop-thread) discipline,
                 # which is a stronger guarantee than a lock.
@@ -603,10 +518,6 @@ class RaceAnalysis:
                 self._judge_writes(report, summary, declaration_ok)
             self._judge_escapes(report, summary)
         return report
-
-    def _loop_owned(self, cls: str, attr: str) -> bool:
-        return any(attr in info.loop_owned
-                   for info in self.index._mro(cls))
 
     def _judge_declaration(self, report: Report,
                            summary: AttrSummary) -> bool:
@@ -618,7 +529,7 @@ class RaceAnalysis:
         path = cls_info.path if cls_info is not None else ""
         where = f"{summary.cls}.{summary.attr}"
         if summary.canonical is None:
-            self._emit(
+            self.emit(
                 report, "GSN806",
                 f"guarded-by on {where} names unknown lock "
                 f"{summary.declared!r} — no such lock attribute on "
@@ -627,7 +538,7 @@ class RaceAnalysis:
             )
             return False
         if summary.declared != summary.canonical:
-            self._emit(
+            self.emit(
                 report, "GSN806",
                 f"guarded-by on {where} says {summary.declared!r} but the "
                 f"lock's registry name is {summary.canonical!r} — declare "
@@ -638,7 +549,7 @@ class RaceAnalysis:
         writes = summary.writes
         if writes and all(summary.canonical not in s.must_held
                           for s in writes):
-            self._emit(
+            self.emit(
                 report, "GSN806",
                 f"guarded-by on {where} declares {summary.canonical!r} but "
                 f"the lock is never held at any of its {len(writes)} "
@@ -659,7 +570,7 @@ class RaceAnalysis:
             compound = self._compound.get(
                 (summary.cls, summary.attr, site.path, site.line))
             if expected is not None:
-                self._emit(
+                self.emit(
                     report, "GSN802",
                     f"{where} is guarded by {expected} but this "
                     f"{'update' if site.kind != WRITE else 'write'} does "
@@ -668,7 +579,7 @@ class RaceAnalysis:
                 )
             elif site.kind == RMW or compound is not None:
                 what = compound or "read-modify-write"
-                self._emit(
+                self.emit(
                     report, "GSN803",
                     f"unguarded compound update ({what}) on {where}, "
                     f"shared across entry points ({entries}) — the "
@@ -676,14 +587,14 @@ class RaceAnalysis:
                     site.function, site.path, site.line,
                 )
             elif site.kind == MUTATE and summary.is_collection:
-                self._emit(
+                self.emit(
                     report, "GSN804",
                     f"unsynchronized collection {where} is mutated across "
                     f"entry points ({entries}) — guard it with a lock",
                     site.function, site.path, site.line,
                 )
             else:
-                self._emit(
+                self.emit(
                     report, "GSN801",
                     f"unguarded write to {where}, shared across entry "
                     f"points ({entries}) — guard it with a lock and "
@@ -703,13 +614,13 @@ class RaceAnalysis:
             info = self.index.functions.get(qualname)
             if info is None or qualname not in self.contexts:
                 continue
-            for node in _walk_scope(info.node):
+            for node in walk_scope(info.node):
                 if not isinstance(node, (ast.Return, ast.Yield)):
                     continue
                 value = getattr(node, "value", None)
-                if value is None or _self_attr(value) != summary.attr:
+                if value is None or self_attr(value) != summary.attr:
                     continue
-                self._emit(
+                self.emit(
                     report, "GSN805",
                     f"guarded collection {where} escapes its lock scope: "
                     f"the returned reference is no longer covered by "
@@ -722,19 +633,5 @@ class RaceAnalysis:
 # entry point
 # --------------------------------------------------------------------------
 
-def analyze_races(paths: Sequence[str],
-                  report: Optional[Report] = None,
-                  index: Optional[ProgramIndex] = None,
-                  include_parse_errors: bool = True,
-                  ) -> Tuple[Report, RaceAnalysis]:
-    """Run the full GSN8xx pass over ``paths`` (files or directories).
-
-    Pass a pre-built ``index`` to share parsing with the deadlock/flow
-    passes (and set ``include_parse_errors=False`` if one of them
-    already reported parse failures).
-    """
-    if index is None:
-        index = ProgramIndex.build(expand_paths(paths))
-    analysis = RaceAnalysis(index)
-    report = analysis.run(report, include_parse_errors=include_parse_errors)
-    return report, analysis
+#: Run the full GSN8xx pass over paths (files or directories).
+analyze_races = RaceAnalysis.analyze

@@ -7,10 +7,11 @@ third runtime witness next to :mod:`repro.analysis.lockwitness`
 (acquisition order) and :mod:`repro.analysis.crashwitness` (silent
 thread deaths).
 
-:func:`enable` does two things:
+Arming a :class:`RaceWitness` (:mod:`repro.analysis.witness`) does two
+things:
 
-1. installs a *tracking* lock factory that wraps whatever factory is
-   currently installed (usually the lock-order witness's), so
+1. layers a *tracking* lock factory over the factory of the witnesses
+   armed before it (usually the lock-order witness's), so
    :func:`repro.concurrency.new_lock` locks record which threads hold
    them right now.  Only locks whose registry names are declared
    guards of an instrumented class are wrapped — every other lock
@@ -31,9 +32,9 @@ violations are also recorded on the witness; the conftest fixture
 fails the session if any unexpected one occurred.  Use
 :meth:`RaceWitness.expected` around deliberately racy test code.
 
-Off by default: with the witness disabled nothing is patched and
-``new_lock`` returns whatever it returned before — zero overhead.
-Opt out of the suite-wide fixture with ``GSN_RACE_WITNESS=0``.
+Off by default: with the witness disarmed nothing is patched and
+``new_lock`` returns whatever the other armed witnesses make — zero
+overhead.
 
 Limitations (by design, documented in docs/concurrency.md): only
 declared guards on the instrumented classes are enforced; collection
@@ -56,7 +57,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import concurrency
+from repro.analysis.witness import LockFactory, Witness
 
 #: The classes the suite-wide witness instruments: every major
 #: subsystem that aggregates status or counts across threads.
@@ -292,7 +293,7 @@ class _Saved:
     guards: Dict[str, str]
 
 
-class RaceWitness:
+class RaceWitness(Witness):
     """Patches classes so guarded-attribute mutations assert the guard."""
 
     def __init__(self, strict: bool = True) -> None:
@@ -306,8 +307,8 @@ class RaceWitness:
         self._instrumented: Dict[type, _Saved] = {}
         #: registry names the tracking factory must wrap — the declared
         #: guards of every instrumented class. Grows as classes are
-        #: instrumented; consulted live by the factory installed in
-        #: :func:`enable`.
+        #: instrumented; consulted live by :meth:`lock_factory`'s
+        #: factory.
         self.tracked_names: set = set()
 
     # -- the check ---------------------------------------------------------
@@ -316,7 +317,7 @@ class RaceWitness:
         self.checks += 1
         lock = owner.__dict__.get(lock_attr)
         if type(lock) is not TrackingLock:
-            return  # untracked lock (created before enable): no verdict
+            return  # untracked lock (created before arming): no verdict
         if id(lock) in _held_ids():
             return
         self._violation(owner, attr, lock, lock_attr)
@@ -434,59 +435,35 @@ class RaceWitness:
         for cls in list(self._instrumented):
             self.restore(cls)
 
+    # -- the witness protocol ----------------------------------------------
 
-# --------------------------------------------------------------------------
-# module-level enable/disable (the conftest surface)
-# --------------------------------------------------------------------------
+    def install(self) -> None:
+        """Instrument the core classes. Locks created before arming are
+        invisible to the tracker; instances of the core classes
+        constructed before arming keep their original behavior (only
+        construction after arming arms the checks)."""
+        for module_name, cls_name in CORE_CLASSES:
+            module = importlib.import_module(module_name)
+            self.instrument(getattr(module, cls_name))
 
+    def uninstall(self) -> None:
+        self.restore_all()
+
+    def lock_factory(self, inner: LockFactory) -> LockFactory:
+        def tracking_factory(name: str, reentrant: bool = False) -> object:
+            lock = inner(name, reentrant)
+            # Wrap only declared guards of instrumented classes; the
+            # tracker never queries any other lock, so wrapping them
+            # would be pure overhead on the hottest acquisition paths.
+            if name in self.tracked_names:
+                return TrackingLock(name, lock)
+            return lock
+
+        return tracking_factory
+
+
+#: The top armed witness (kept by :mod:`repro.analysis.witness`).
 _active: Optional[RaceWitness] = None
-_previous_factory: Optional[Callable[[str, bool], object]] = None
-
-
-def enable(strict: bool = True) -> RaceWitness:
-    """Install the tracking factory and instrument the core classes.
-
-    Idempotent: a second ``enable`` returns the active witness.  Locks
-    created *before* enable are invisible to the tracker; instances of
-    the core classes constructed before enable keep their original
-    behavior (only construction after enable arms the checks).
-    """
-    global _active, _previous_factory
-    if _active is not None:
-        return _active
-    witness = RaceWitness(strict=strict)
-    _previous_factory = concurrency.current_factory()
-    previous = _previous_factory
-
-    def tracking_factory(name: str, reentrant: bool = False) -> object:
-        if previous is not None:
-            inner = previous(name, reentrant)
-        else:
-            inner = threading.RLock() if reentrant else threading.Lock()
-        # Wrap only declared guards of instrumented classes; the
-        # tracker never queries any other lock, so wrapping them would
-        # be pure overhead on the hottest acquisition paths.
-        if name in witness.tracked_names:
-            return TrackingLock(name, inner)
-        return inner
-
-    concurrency.install_witness(tracking_factory)
-    for module_name, cls_name in CORE_CLASSES:
-        module = importlib.import_module(module_name)
-        witness.instrument(getattr(module, cls_name))
-    _active = witness
-    return witness
-
-
-def disable() -> None:
-    """Undo :func:`enable`: restore classes and the previous factory."""
-    global _active, _previous_factory
-    if _active is None:
-        return
-    _active.restore_all()
-    concurrency.install_witness(_previous_factory)
-    _previous_factory = None
-    _active = None
 
 
 def active() -> Optional[RaceWitness]:

@@ -6,12 +6,12 @@ with a stable, class-qualified name (``"WorkerPool._lock"``,
 :class:`threading.Lock`/:class:`threading.RLock` — zero overhead, no
 wrapper object — so production containers pay nothing for the naming.
 
-When the lock-order witness is enabled
-(:func:`repro.analysis.lockwitness.enable`, which the test suite does
-through a conftest fixture) the factory returns instrumented locks that
-record the actual per-thread acquisition order and assert it against
-:data:`LOCK_ORDER` and against previously observed edges — the runtime
-cross-check of ``gsn-lint --deadlock``'s static acquisition graph.
+While the lock-order witness is armed (:mod:`repro.analysis.witness`,
+which the test suite does through a conftest fixture) the factory
+returns instrumented locks that record the actual per-thread
+acquisition order and assert it against :data:`LOCK_ORDER` and against
+previously observed edges — the runtime cross-check of
+``gsn-lint --deadlock``'s static acquisition graph.
 
 ``LOCK_ORDER`` is the sanctioned set of "outer before inner" pairs.  It
 must stay acyclic, and it must agree with the ``# lock-order:``
@@ -42,8 +42,8 @@ LOCK_ORDER: Tuple[Tuple[str, str], ...] = (
     ("PeerNode._lock", "VirtualSensor._emit_lock"),
 )
 
-#: Installed by :func:`repro.analysis.lockwitness.enable`; ``None`` means
-#: "plain stdlib locks" (the production default).
+#: Installed by :mod:`repro.analysis.witness` from the armed witnesses;
+#: ``None`` means "plain stdlib locks" (the production default).
 _witness_factory: Optional[Callable[[str, bool], object]] = None
 
 
@@ -64,14 +64,3 @@ def install_witness(factory: Optional[Callable[[str, bool], object]]) -> None:
     """Install (or, with ``None``, remove) the witness lock factory."""
     global _witness_factory
     _witness_factory = factory
-
-
-def current_factory() -> Optional[Callable[[str, bool], object]]:
-    """The installed witness factory, if any.
-
-    Witnesses compose by wrapping: the race witness captures whatever
-    factory is installed (the lock-order witness's, usually), installs
-    its own tracking factory around it, and restores the captured one on
-    disable.
-    """
-    return _witness_factory

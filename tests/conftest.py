@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.analysis import (
-    crashwitness, lockwitness, loopwitness, racewitness,
-)
+from repro.analysis.crashwitness import CrashWitness
+from repro.analysis.lockwitness import LockWitness
+from repro.analysis.loopwitness import LoopWitness
+from repro.analysis.racewitness import RaceWitness
+from repro.analysis.witness import armed
 from repro.container import GSNContainer
 from repro.datatypes import DataType
 from repro.descriptors.model import (
@@ -22,97 +22,36 @@ from repro.vsensor.virtual_sensor import VirtualSensor
 
 
 @pytest.fixture(scope="session", autouse=True)
-def lock_order_witness():
-    """Run the whole suite under the runtime lock-order witness.
+def witnesses():
+    """Run the whole suite under the four runtime witnesses.
 
-    Every ``new_lock()`` in repro hands out an instrumented lock that
-    records per-thread acquisition order and raises LockOrderViolation
-    the moment two locks are taken in an order inverted against
-    ``repro.concurrency.LOCK_ORDER`` or a previously observed order.
-    Opt out with ``GSN_LOCK_WITNESS=0`` (e.g. when bisecting an
-    unrelated failure).
+    - lock order: every ``new_lock()`` in repro hands out an
+      instrumented lock that raises LockOrderViolation the moment two
+      locks are taken in an order inverted against
+      ``repro.concurrency.LOCK_ORDER`` or a previously observed order;
+    - races: every core shared class (:data:`racewitness.CORE_CLASSES`)
+      raises :class:`racewitness.RaceWitnessViolation` at a write to a
+      ``# guarded-by:`` attribute (or a mutation of a guarded
+      collection) made without the declared lock; armed after the lock
+      witness, so its tracking locks wrap the witnessed ones;
+    - thread crashes: ``threading.excepthook`` records every exception
+      escaping a thread (the GSN602 failure mode at runtime);
+    - loop lag: every event loop the runtime starts runs a heartbeat,
+      and a wake-up later than the stall ceiling is recorded (the
+      runtime shadow of a GSN901 finding).
+
+    Any violation, or any crash not wrapped in ``witness.expected()``,
+    fails the session at teardown.
     """
-    if os.environ.get("GSN_LOCK_WITNESS", "1") == "0":
-        yield None
-        return
-    witness = lockwitness.enable(strict=True)
-    try:
-        yield witness
-    finally:
-        lockwitness.disable()
-    assert not witness.violations, witness.violations
-    assert not witness.check_acyclic(), witness.check_acyclic()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def race_witness(lock_order_witness):
-    """Run the whole suite under the runtime race witness.
-
-    Every core shared class (:data:`racewitness.CORE_CLASSES`) is
-    instrumented so that writing a ``# guarded-by:`` attribute — or
-    mutating a guarded collection — without holding the declared lock
-    raises :class:`racewitness.RaceWitnessViolation` at the faulty
-    write, with the attribute, guard, and thread in the message.
-    Depends on ``lock_order_witness`` so locks are created by whichever
-    factory stack is active (the witnesses compose by wrapping). Opt
-    out with ``GSN_RACE_WITNESS=0``.
-    """
-    if os.environ.get("GSN_RACE_WITNESS", "1") == "0":
-        yield None
-        return
-    witness = racewitness.enable(strict=True)
-    try:
-        yield witness
-    finally:
-        racewitness.disable()
-    unexpected = witness.unexpected()
-    assert not unexpected, [str(v) for v in unexpected]
-
-
-@pytest.fixture(scope="session", autouse=True)
-def thread_crash_witness():
-    """Run the whole suite under the runtime thread-crash witness.
-
-    ``threading.excepthook`` is replaced with a sentinel that records
-    every exception escaping a thread (the GSN602 failure mode at
-    runtime). Any *unexpected* crash — one not wrapped in
-    ``witness.expected()`` — fails the suite at the end of the session.
-    Opt out with ``GSN_CRASH_WITNESS=0``.
-    """
-    if os.environ.get("GSN_CRASH_WITNESS", "1") == "0":
-        yield None
-        return
-    witness = crashwitness.enable()
-    try:
-        yield witness
-    finally:
-        crashwitness.disable()
-    unexpected = witness.unexpected()
-    assert not unexpected, [crash.render() for crash in unexpected]
-
-
-@pytest.fixture(scope="session", autouse=True)
-def loop_lag_witness():
-    """Run the whole suite under the event-loop lag witness.
-
-    Every event loop the runtime starts (the async ingest gateway arms
-    this automatically) runs a heartbeat task; a wake-up later than the
-    stall ceiling — the runtime shadow of a GSN901 finding — is
-    recorded and fails the suite at teardown. Opt out with
-    ``GSN_LOOP_WITNESS=0``; tune the ceiling (milliseconds) with
-    ``GSN_LOOP_WITNESS_MS``.
-    """
-    if os.environ.get("GSN_LOOP_WITNESS", "1") == "0":
-        yield None
-        return
-    ceiling = float(os.environ.get(
-        "GSN_LOOP_WITNESS_MS", loopwitness.DEFAULT_MAX_STALL_MS))
-    witness = loopwitness.enable(max_stall_ms=ceiling)
-    try:
-        yield witness
-    finally:
-        loopwitness.disable()
-    assert not witness.violations, [v.render() for v in witness.violations]
+    lock, race = LockWitness(strict=True), RaceWitness(strict=True)
+    crash, loop = CrashWitness(), LoopWitness()
+    with armed(lock, race, crash, loop):
+        yield
+    assert not lock.violations, lock.violations
+    assert not lock.check_acyclic(), lock.check_acyclic()
+    assert not race.unexpected(), [str(v) for v in race.unexpected()]
+    assert not crash.unexpected(), [c.render() for c in crash.unexpected()]
+    assert not loop.violations, [v.render() for v in loop.violations]
 
 
 @pytest.fixture

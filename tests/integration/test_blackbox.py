@@ -125,8 +125,6 @@ class TestHealthzFlips:
             assert checks["worker-pools"]["status"] == "degraded"
 
     def test_healthz_serves_503_over_http(self, monkeypatch):
-        if crashwitness.active() is None:
-            pytest.skip("suite runs with GSN_CRASH_WITNESS=0")
         with GSNContainer("wired", synchronous=False) as node:
             sensor = node.deploy(
                 simple_mote_descriptor(name="wired-probe", interval_ms=100))

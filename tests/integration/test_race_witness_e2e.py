@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import racewitness
 from repro.vsensor.pool import WorkerPool
 
 
@@ -21,16 +22,9 @@ def threaded_pool():
         yield pool
 
 
-def _require(race_witness):
-    if race_witness is None:
-        pytest.skip("race witness disabled (GSN_RACE_WITNESS=0)")
-    return race_witness
-
-
 class TestRaceWitnessUnderPool:
-    def test_unguarded_counter_bump_is_witnessed(self, race_witness,
-                                                 threaded_pool):
-        witness = _require(race_witness)
+    def test_unguarded_counter_bump_is_witnessed(self, threaded_pool):
+        witness = racewitness.active()
         before = len(witness.violations)
 
         def racy_bump():
@@ -49,8 +43,8 @@ class TestRaceWitnessUnderPool:
         assert all(v.expected for v in seen)
         assert any(v.thread.startswith("gsn-pool-race-e2e") for v in seen)
 
-    def test_guarded_bump_is_clean(self, race_witness, threaded_pool):
-        witness = _require(race_witness)
+    def test_guarded_bump_is_clean(self, threaded_pool):
+        witness = racewitness.active()
         before = len(witness.violations)
 
         def disciplined_bump():
@@ -64,12 +58,11 @@ class TestRaceWitnessUnderPool:
         assert not threaded_pool.errors()
         assert len(witness.violations) == before
 
-    def test_pool_own_bookkeeping_is_witness_clean(self, race_witness,
-                                                   threaded_pool):
+    def test_pool_own_bookkeeping_is_witness_clean(self, threaded_pool):
         # The pool's own counters (tasks_completed, restarts, ...) run
         # under the witness for the whole suite; a burst of real tasks
         # must produce zero violations.
-        witness = _require(race_witness)
+        witness = racewitness.active()
         before = len(witness.violations)
         results = []
         for i in range(16):

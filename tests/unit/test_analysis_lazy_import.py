@@ -15,9 +15,9 @@ from pathlib import Path
 #: ``python -c`` puts its working directory on the path: ``tests.conftest``.
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-ANALYZERS = ("callgraph", "lockgraph", "flowgraph", "racegraph",
-             "asyncgraph", "locklint", "planpass", "passes", "rules",
-             "schema_infer")
+ANALYZERS = ("callgraph", "dataflow", "lockgraph", "flowgraph",
+             "racegraph", "asyncgraph", "locklint", "planpass", "passes",
+             "rules", "schema_infer")
 
 PROGRAM = textwrap.dedent("""
     import sys

@@ -6,10 +6,9 @@ import contextlib
 import threading
 import time
 
-import pytest
-
 from repro.analysis import crashwitness
 from repro.analysis.crashwitness import CrashWitness, ThreadCrash
+from repro.analysis.witness import arm
 from repro.descriptors.model import LifeCycleConfig
 from repro.vsensor.lifecycle import LifecycleState, LifeCycleManager
 from repro.vsensor.pool import WorkerPool
@@ -128,11 +127,12 @@ class TestCrashWitness:
         assert "ValueError" in doc["last"]
         assert doc["installed"] is False
 
-    def test_enable_is_idempotent(self):
+    def test_arm_is_idempotent(self):
         active = crashwitness.active()
-        if active is None:
-            pytest.skip("suite runs with GSN_CRASH_WITNESS=0")
-        assert crashwitness.enable() is active
+        hook = threading.excepthook
+        assert arm(active) is active
+        assert crashwitness.active() is active
+        assert threading.excepthook == hook
 
 
 class TestPoolSupervision:
@@ -173,8 +173,6 @@ class TestPoolSupervision:
 
     def test_crashes_reach_the_witness(self, monkeypatch):
         witness = crashwitness.active()
-        if witness is None:
-            pytest.skip("suite runs with GSN_CRASH_WITNESS=0")
         before = witness.counts_by_owner().get("crashy", 0)
         pool = self._corrupted_pool(monkeypatch)
         with session_expected():

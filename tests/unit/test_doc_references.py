@@ -4,7 +4,9 @@ Each backticked ``*.py`` path in ``DESIGN.md``, ``README.md`` and
 ``docs/*.md`` must be a file under one of the places a reader would look
 (the repo root, ``src/repro``, ``src``, ``examples``, ``examples/bad``,
 ``benchmarks`` or ``tests``), and each backticked dotted ``repro.…``
-name must import, or resolve as an attribute of what imports.
+name must import, or resolve as an attribute of what imports. And
+``DESIGN.md``'s module map must name every package under ``src/repro``
+and every module of ``src/repro/analysis``.
 """
 
 import glob
@@ -59,3 +61,21 @@ def test_named_modules_exist(document):
     missing = [span for where, span in references()
                if where == document and not resolves(span)]
     assert not missing, f"{document} names what does not exist: {missing}"
+
+
+def test_design_names_every_package_and_analysis_module():
+    named = {span for where, span in references()
+             if where == "DESIGN.md" and span.endswith(".py")}
+    package = os.path.join(ROOT, "src", "repro")
+    missing = [
+        f"{name}/" for name in sorted(os.listdir(package))
+        if os.path.isfile(os.path.join(package, name, "__init__.py"))
+        and not any(span.startswith(f"{name}/") for span in named)
+    ]
+    missing += [
+        f"analysis/{name}"
+        for name in sorted(os.listdir(os.path.join(package, "analysis")))
+        if name.endswith(".py") and name != "__init__.py"
+        and f"analysis/{name}" not in named
+    ]
+    assert not missing, f"DESIGN.md's module map does not name {missing}"

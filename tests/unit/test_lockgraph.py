@@ -5,9 +5,8 @@ and the annotation vocabulary."""
 import textwrap
 
 from repro.analysis.callgraph import Call, DeclaredEdge, ProgramIndex
-from repro.analysis.lockgraph import (
-    EdgeSite, LockGraph, analyze_deadlocks, expand_paths,
-)
+from repro.analysis.dataflow import expand_paths
+from repro.analysis.lockgraph import EdgeSite, LockGraph, analyze_deadlocks
 
 
 def write(tmp_path, name, source):

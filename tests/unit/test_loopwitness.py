@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis import loopwitness
 from repro.analysis.loopwitness import LoopLagViolation, LoopWitness
+from repro.analysis.witness import armed
 
 
 def drive(witness, body, duration=0.2):
@@ -81,21 +82,14 @@ class TestLoopWitness:
 
 
 class TestModuleSwitch:
-    def test_enable_disable_roundtrip(self):
-        # The suite fixture installed a witness; swap it safely.
+    def test_arm_disarm_roundtrip(self):
+        # The suite fixture armed a witness; arming another on top
+        # shadows it, and disarming brings it back.
         previous = loopwitness.active()
-        try:
-            witness = loopwitness.enable(max_stall_ms=77.0)
+        witness = LoopWitness(max_stall_ms=77.0)
+        with armed(witness):
             assert loopwitness.active() is witness
-            assert witness.max_stall_ms == 77.0
-            loopwitness.disable()
-            assert loopwitness.active() is None
-        finally:
-            loopwitness._active = previous
+        assert loopwitness.active() is previous
 
     def test_suite_fixture_is_armed_by_default(self):
-        # conftest arms the witness unless GSN_LOOP_WITNESS=0.
-        import os
-        if os.environ.get("GSN_LOOP_WITNESS", "1") == "0":
-            pytest.skip("witness opted out via GSN_LOOP_WITNESS=0")
         assert loopwitness.active() is not None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 
@@ -14,6 +13,7 @@ from repro.analysis.racewitness import (
     RaceWitnessViolation, TrackingLock, declared_guard_names,
     declared_guards,
 )
+from repro.analysis.witness import arm
 
 
 class Box:
@@ -236,13 +236,12 @@ class TestInstrumentationLifecycle:
         assert not witness.violations
 
 
-@pytest.mark.skipif(os.environ.get("GSN_RACE_WITNESS", "1") == "0",
-                    reason="suite-wide race witness disabled")
 class TestSuiteWideFixture:
     def test_module_witness_is_active_and_idempotent(self):
         active = racewitness.active()
         assert active is not None
-        assert racewitness.enable() is active
+        assert arm(active) is active
+        assert racewitness.active() is active
 
     def test_core_classes_are_instrumented(self):
         from repro.vsensor.pool import WorkerPool
